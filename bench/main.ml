@@ -8,7 +8,6 @@
      dune exec bench/main.exe -- sim-fig1 -j 8      8 worker domains
      dune exec bench/main.exe -- --small            toy scales (quick)
      dune exec bench/main.exe -- --json BENCH_results.json
-     dune exec bench/main.exe -- --backend ref      persistent substrate A/B
      dune exec bench/main.exe -- --telemetry full   instrument the whole run;
                                                     the snapshot lands in the
                                                     --json report entry
@@ -638,12 +637,6 @@ let tests () =
       (Staged.stage (fun () ->
            Pc.run_pf ~m:(1 lsl 13) ~n:(1 lsl 6) ~manager:"compacting" ~c:16.0
              ()));
-    (* Same point pinned to the persistent backend: the in-harness A/B
-       for the substrate rewrite. *)
-    Test.make ~name:"sim-lower-point-c16-ref"
-      (Staged.stage (fun () ->
-           Pc.run_pf ~backend:Pc.Backend.Reference ~m:(1 lsl 13) ~n:(1 lsl 6)
-             ~manager:"compacting" ~c:16.0 ()));
     (* Same point under the sampled oracle layer: the measured --audit
        overhead (see EXPERIMENTS.md). *)
     Test.make ~name:"sim-lower-point-c16-audit"
@@ -720,8 +713,6 @@ let write_json opts =
           [
             ("unix_time", Json.Float (Unix.gettimeofday ()));
             ("commit", Json.String (git_commit ()));
-            ( "backend",
-              Json.String (Pc.Backend.to_string (Pc.Backend.default ())) );
             ("ocaml", Json.String Sys.ocaml_version);
             ("jobs", Json.Int opts.jobs);
             ("scale", Json.String (if opts.small then "small" else "default"));
@@ -783,8 +774,8 @@ let write_json opts =
 let main () =
   (* Simulations churn short-lived lists and closures; the 256k-word
      default minor heap forces constant promotion at these rates. One
-     harness-wide bump (both backends alike) keeps the measurements
-     about the substrate, not the collector. *)
+     harness-wide bump keeps the measurements about the substrate, not
+     the collector. *)
   Gc.set { (Gc.get ()) with minor_heap_size = 1 lsl 20 };
   let rec parse opts no_cache cache_dir = function
     | [] -> (opts, no_cache, cache_dir)
@@ -795,9 +786,6 @@ let main () =
           | Some _ | None -> Fmt.invalid_arg "bad --jobs value %S" v
         in
         parse { opts with jobs } no_cache cache_dir rest
-    | "--backend" :: v :: rest ->
-        Pc.Backend.set_default (Pc.Backend.of_string_exn v);
-        parse opts no_cache cache_dir rest
     | "--no-cache" :: rest -> parse opts true cache_dir rest
     | "--cache-dir" :: d :: rest -> parse opts no_cache (Some d) rest
     | "--resume" :: rest -> parse { opts with resume = true } no_cache cache_dir rest

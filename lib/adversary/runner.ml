@@ -42,7 +42,7 @@ type outcome = {
   compliant : bool; (* c-partial rule never violated *)
 }
 
-let run ?backend ?c ?(check = false) ?(check_every = 64)
+let run ?c ?(check = false) ?(check_every = 64)
     ?(audit = Pc_audit.Oracle.Off) ?(audit_every = 64) ?audit_c ?theory_h
     ?failures_dir ~program ~manager () =
   if check_every <= 0 then invalid_arg "Runner.run: check_every must be > 0";
@@ -62,7 +62,7 @@ let run ?backend ?c ?(check = false) ?(check_every = 64)
     let budget =
       match c with Some c -> Budget.create ~c | None -> Budget.unlimited ()
     in
-    let ctx = Ctx.create ?backend ~budget ~live_bound:m () in
+    let ctx = Ctx.create ~budget ~live_bound:m () in
     let heap = Ctx.heap ctx in
     T.Counter.incr executions_c;
     (* Full level only: sample the HS/M trajectory as the run unfolds.
@@ -174,7 +174,6 @@ let run ?backend ?c ?(check = false) ?(check_every = 64)
           m;
           n = Program.max_size program;
           c = audit_c;
-          backend = Heap.backend heap;
           theory_h;
         }
       in

@@ -17,7 +17,6 @@ type outcome = {
 }
 
 val run :
-  ?backend:Pc_heap.Backend.t ->
   ?c:float ->
   ?check:bool ->
   ?check_every:int ->
@@ -30,8 +29,7 @@ val run :
   manager:Pc_manager.Manager.t ->
   unit ->
   outcome
-(** [c] bounds the manager's compaction (omit for unlimited). [backend]
-    selects the heap substrate (default {!Pc_heap.Backend.default}).
+(** [c] bounds the manager's compaction (omit for unlimited).
     [check] (default false) samples the full heap invariant check
     during the run: one event in [check_every] (default 64) triggers
     the O(live) sweep — set [check_every:1] to check every event, tests
@@ -40,7 +38,7 @@ val run :
 
     [audit] (default [Off]) attaches the {!Pc_audit.Oracle} layer to
     the run: the heap's event stream is checked (budget, live-space,
-    structural, and — at [Differential] — the backend-divergence
+    structural, and — at [Differential] — the kernel-vs-reference
     watchdog; [audit_every], default 64, is the structural-sweep
     sampling period). On any violation — including
     {!Pc_heap.Budget.Exceeded} and PF's {!Pf.Audit_failure} — the

@@ -20,14 +20,11 @@ open Pc_heap
    sweep cost stays a bounded fraction of execution ([sample_every =
    1] disables the stretching and checks every event — replay-based
    reproduction relies on that). [Full] runs the sweep on every event.
-   [Differential] additionally maintains a shadow heap on the opposite
-   substrate, applies every event to it, and compares the observable
-   aggregates after each event — the watchdog fails at the first
-   diverging event, not at end-of-run. *)
-
-let src = Logs.Src.create "pc.audit" ~doc:"runtime oracles"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+   [Differential] additionally maintains a shadow [Heap_ref] (the
+   persistent reference), applies every event to it, and compares the
+   observable aggregates after each event — the watchdog fails at the
+   first diverging event, not at end-of-run. The shadow feeds no
+   telemetry, so the kernel's counters read the same as at [Off]. *)
 
 type level = Off | Sampled | Full | Differential
 
@@ -80,7 +77,7 @@ type t = {
   c : float option;
   live_bound : int option;
   only : string option;
-  shadow : Heap.t option;
+  shadow : Heap_ref.t option;
   budget_on : bool; (* precomputed [enabled t "budget"] && c present *)
   live_on : bool; (* precomputed [enabled t "live-bound"] && bound present *)
   mutable seq : int; (* events seen so far *)
@@ -139,76 +136,69 @@ let check_counters t =
 
 (* The heap's own O(live) consistency sweep, converted from [Failure]
    into a first-class violation. *)
-let check_structure t heap =
+let check_structure t check_invariants heap =
   if enabled t "structure" then
-    match Heap.check_invariants heap with
+    match check_invariants heap with
     | () -> ()
     | exception Failure msg -> fail t ~oracle:"structure" "%s" msg
 
 (* --- the divergence watchdog ------------------------------------- *)
 
-let opposite = function
-  | Backend.Imperative -> Backend.Reference
-  | Backend.Reference -> Backend.Imperative
-
 let diverged t ~what ~primary ~shadow =
-  fail t ~oracle:"divergence" "%s diverged: %s=%d, %s=%d" what
-    (Backend.to_string (Heap.backend t.heap))
-    primary
-    (Backend.to_string (opposite (Heap.backend t.heap)))
-    shadow
+  fail t ~oracle:"divergence" "%s diverged: kernel=%d, reference=%d" what
+    primary shadow
 
 (* O(1)-ish aggregate comparison after every mirrored event. *)
 let compare_aggregates t shadow =
-  let cmp what f =
-    let p = f t.heap and s = f shadow in
+  let cmp what f g =
+    let p = f t.heap and s = g shadow in
     if p <> s then diverged t ~what ~primary:p ~shadow:s
   in
-  cmp "high_water" Heap.high_water;
-  cmp "live_words" Heap.live_words;
-  cmp "live_objects" Heap.live_objects;
-  cmp "allocated_total" Heap.allocated_total;
-  cmp "moved_total" Heap.moved_total;
-  cmp "freed_total" Heap.freed_total
+  cmp "high_water" Heap.high_water Heap_ref.high_water;
+  cmp "live_words" Heap.live_words Heap_ref.live_words;
+  cmp "live_objects" Heap.live_objects Heap_ref.live_objects;
+  cmp "allocated_total" Heap.allocated_total Heap_ref.allocated_total;
+  cmp "moved_total" Heap.moved_total Heap_ref.moved_total;
+  cmp "freed_total" Heap.freed_total Heap_ref.freed_total
 
 (* Deep (sampled) comparison: the free-space index views must agree on
    the frontier, gap population and the largest gap, and the occupied
    word count below the frontier must match. *)
 let compare_deep t shadow =
-  let pf = Heap.free_index t.heap and sf = Heap.free_index shadow in
-  let cmp what f =
-    let p = f pf and s = f sf in
+  let pf = Heap.free_index t.heap and sf = Heap_ref.free_index shadow in
+  let cmp what f g =
+    let p = f pf and s = g sf in
     if p <> s then diverged t ~what ~primary:p ~shadow:s
   in
-  cmp "free_index.frontier" Free_index.frontier;
-  cmp "free_index.gap_count" Free_index.gap_count;
-  cmp "free_index.free_below_frontier" Free_index.free_below_frontier;
-  cmp "free_index.largest_gap" Free_index.largest_gap;
+  cmp "free_index.frontier" Free_index.frontier Free_index_ref.frontier;
+  cmp "free_index.gap_count" Free_index.gap_count Free_index_ref.gap_count;
+  cmp "free_index.free_below_frontier" Free_index.free_below_frontier
+    Free_index_ref.free_below_frontier;
+  cmp "free_index.largest_gap" Free_index.largest_gap
+    Free_index_ref.largest_gap;
   let hw = Heap.high_water t.heap in
   let p = Heap.occupied_words_in t.heap ~start:0 ~stop:hw
-  and s = Heap.occupied_words_in shadow ~start:0 ~stop:hw in
+  and s = Heap_ref.occupied_words_in shadow ~start:0 ~stop:hw in
   if p <> s then diverged t ~what:"occupied_words_in[0,hw)" ~primary:p ~shadow:s
 
 let apply_shadow t shadow event =
   let reject what msg =
-    fail t ~oracle:"divergence" "shadow backend (%s) rejects %s: %s"
-      (Backend.to_string (Heap.backend shadow))
-      what msg
+    fail t ~oracle:"divergence" "reference shadow rejects %s: %s" what msg
   in
   match event with
   | Heap.Alloc o -> (
-      match Heap.alloc shadow ~addr:o.addr ~size:o.size with
+      match Heap_ref.alloc shadow ~addr:o.addr ~size:o.size with
       | oid ->
           if not (Oid.equal oid o.oid) then
             diverged t ~what:"alloc oid" ~primary:(Oid.to_int o.oid)
               ~shadow:(Oid.to_int oid)
       | exception Invalid_argument msg -> reject "alloc" msg)
   | Heap.Free o -> (
-      match Heap.free shadow o.oid with
+      match Heap_ref.free shadow o.oid with
       | () -> ()
       | exception Invalid_argument msg -> reject "free" msg)
   | Heap.Move m -> (
-      match Heap.move shadow m.oid ~dst:m.dst with
+      match Heap_ref.move shadow m.oid ~dst:m.dst with
       | () -> ()
       | exception Invalid_argument msg -> reject "move" msg)
 
@@ -238,7 +228,7 @@ let on_event t event =
   | Off -> ()
   | Full ->
       check_counters t;
-      check_structure t t.heap
+      check_structure t Heap.check_invariants t.heap
   | Sampled | Differential ->
       t.countdown <- t.countdown - 1;
       if t.countdown <= 0 then begin
@@ -250,10 +240,10 @@ let on_event t event =
           (if t.sample_every = 1 then 1
            else max t.sample_every (20 * (1 + Heap.live_objects t.heap)));
         check_counters t;
-        check_structure t t.heap;
+        check_structure t Heap.check_invariants t.heap;
         match t.shadow with
         | Some shadow when enabled t "divergence" ->
-            check_structure t shadow;
+            check_structure t Heap_ref.check_invariants shadow;
             compare_deep t shadow
         | Some _ | None -> ()
       end
@@ -266,12 +256,7 @@ let attach ?(level = Sampled) ?(sample_every = 64) ?c ?live_bound ?only heap =
   | Some _ | None -> ());
   let shadow =
     match level with
-    | Differential ->
-        let backend = opposite (Heap.backend heap) in
-        Log.debug (fun k ->
-            k "differential watchdog: shadowing on the %a substrate" Backend.pp
-              backend);
-        Some (Heap.create ~backend ())
+    | Differential -> Some (Heap_ref.create ())
     | Off | Sampled | Full -> None
   in
   let enabled_at name =
@@ -315,11 +300,11 @@ let finish ?theory_h ?(eps = 0.05) t =
     check_budget t;
     check_live t;
     check_counters t;
-    check_structure t t.heap;
+    check_structure t Heap.check_invariants t.heap;
     (match t.shadow with
     | Some shadow when enabled t "divergence" ->
         compare_aggregates t shadow;
-        check_structure t shadow;
+        check_structure t Heap_ref.check_invariants shadow;
         compare_deep t shadow
     | Some _ | None -> ());
     match (theory_h, t.live_bound) with

@@ -25,7 +25,6 @@ type info = {
   m : int;
   n : int;
   c : float option; (* the audited compaction bound *)
-  backend : Backend.t;
   theory_h : float option;
 }
 
@@ -39,7 +38,7 @@ type bundle = {
 
 exception Reported of bundle
 
-let meta_format = 1
+let meta_format = 2
 
 let default_dir () =
   match Sys.getenv_opt "PC_FAILURES_DIR" with
@@ -58,12 +57,12 @@ let reproduces ?only ~info trace =
     | Some "divergence" -> Oracle.Differential
     | Some _ | None -> Oracle.Full
   in
-  let heap = Heap.create ~backend:info.backend () in
+  let heap = Heap.create () in
   let oracle =
     Oracle.attach ~level ~sample_every:1 ?c:info.c ~live_bound:info.m ?only
       heap
   in
-  match Trace.replay_onto trace heap with
+  match Trace.replay_onto (module Heap) trace heap with
   | Error _ -> None (* malformed candidate: a shrink rejection *)
   | Ok () -> (
       match Oracle.finish ?theory_h:info.theory_h oracle with
@@ -127,7 +126,6 @@ let meta_text ~(violation : Oracle.violation) ~info ~events_full ~events_min
   kv "m" (string_of_int info.m);
   kv "n" (string_of_int info.n);
   kv "c" (match info.c with Some c -> Fmt.str "%h" c | None -> "-");
-  kv "backend" (Backend.to_string info.backend);
   kv "theory_h"
     (match info.theory_h with Some h -> Fmt.str "%h" h | None -> "-");
   kv "events_full" (string_of_int events_full);
@@ -267,12 +265,6 @@ let load dir =
             | Some c -> Ok (Some c)
             | None -> fail "%s: bad c %S" dir c_raw
         in
-        let* backend_raw = get "backend" in
-        let* backend =
-          match Backend.of_string backend_raw with
-          | Ok b -> Ok b
-          | Error (`Msg msg) -> fail "%s: %s" dir msg
-        in
         let* th_raw = get "theory_h" in
         let* theory_h =
           if th_raw = "-" then Ok None
@@ -292,23 +284,19 @@ let load dir =
               ( {
                   dir;
                   violation = { Oracle.oracle; seq; detail };
-                  info = { program; manager; m; n; c; backend; theory_h };
+                  info = { program; manager; m; n; c; theory_h };
                   events_full;
                   events_min;
                 },
                 trace )
     end
 
-let replay ?backend dir =
+let replay dir =
   match load dir with
   | Error _ as e -> e
   | Ok (bundle, trace) ->
-      let info =
-        match backend with
-        | Some b -> { bundle.info with backend = b }
-        | None -> bundle.info
-      in
-      Ok (reproduces ~only:bundle.violation.Oracle.oracle ~info trace)
+      let only = bundle.violation.Oracle.oracle in
+      Ok (reproduces ~only ~info:bundle.info trace)
 
 (* ------------------------------------------------------------------ *)
 (* Exit-code taxonomy shared by the CLIs                              *)

@@ -4,7 +4,6 @@
    drivers for the common experiments. *)
 
 (* Substrate *)
-module Backend = Pc_heap.Backend
 module Word = Pc_heap.Word
 module Interval = Pc_heap.Interval
 module Oid = Pc_heap.Oid
@@ -32,8 +31,8 @@ module Sawtooth = Pc_adversary.Sawtooth
 module Reduction = Pc_adversary.Reduction
 module Script = Pc_adversary.Script
 
-(* Self-auditing runs: runtime oracles, the backend-divergence
-   watchdog, and trace-shrinking failure triage *)
+(* Self-auditing runs: runtime oracles, the kernel-vs-reference
+   divergence watchdog, and trace-shrinking failure triage *)
 module Audit = struct
   module Oracle = Pc_audit.Oracle
   module Shrink = Pc_audit.Shrink
@@ -95,7 +94,7 @@ type pf_report = {
   theory_h : float; (* Theorem 1 waste factor at these parameters *)
 }
 
-let run_pf ?backend ?ell ?(audit = Pc_audit.Oracle.Off) ?failures_dir ~m ~n ~c
+let run_pf ?ell ?(audit = Pc_audit.Oracle.Off) ?failures_dir ~m ~n ~c
     ~manager () =
   let mgr = Managers.construct_exn manager in
   (* At Full the oracle layer also turns on PF's internal Claim 4.16
@@ -103,7 +102,7 @@ let run_pf ?backend ?ell ?(audit = Pc_audit.Oracle.Off) ?failures_dir ~m ~n ~c
   let pf_audit = audit = Pc_audit.Oracle.Full in
   let config, program = Pf.program ?ell ~audit:pf_audit ~m ~n ~c () in
   let outcome =
-    Runner.run ?backend ~c ~audit ~theory_h:config.h ?failures_dir
+    Runner.run ~c ~audit ~theory_h:config.h ?failures_dir
       ~program ~manager:mgr ()
   in
   let theory_h = Pc_bounds.Cohen_petrank.waste_factor ~m ~n ~c in
@@ -116,8 +115,8 @@ type robson_report = {
   theory_waste : float; (* Robson's bound divided by M *)
 }
 
-let run_robson ?backend ?steps ~m ~n ~manager () =
+let run_robson ?steps ~m ~n ~manager () =
   let mgr = Managers.construct_exn manager in
   let program = Robson_pr.program ?steps ~m ~n () in
-  let outcome = Runner.run ?backend ~program ~manager:mgr () in
+  let outcome = Runner.run ~program ~manager:mgr () in
   { outcome; theory_waste = Pc_bounds.Robson.waste_factor_pow2 ~m ~n }

@@ -4,9 +4,8 @@
     Compaction: Towards Practical Bounds}, PLDI 2013.
 
     Layers:
-    - substrate: {!Heap}, {!Free_index} (each with an imperative and a
-      reference backend, see {!Backend}), {!Budget}, {!Metrics},
-      {!Trace}, {!Layout};
+    - substrate: the heap kernel {!Heap} and {!Free_index}, {!Budget},
+      {!Metrics}, {!Trace}, {!Layout};
     - memory managers: {!Manager}, {!Managers} (registry of
       first/best/next/worst fit, buddy, segregated, aligned fit, and
       the c-partial compactors);
@@ -14,12 +13,11 @@
       {!Runner}, {!Robson_pr}, {!Pf}, {!Random_workload};
     - closed-form bounds: {!Bounds};
     - the parallel sweep engine with its result cache: {!Exec};
-    - self-auditing runs: runtime oracles, the backend-divergence
-      watchdog and trace-shrinking failure triage: {!Audit};
+    - self-auditing runs: runtime oracles, the kernel-vs-reference
+      divergence watchdog and trace-shrinking failure triage: {!Audit};
     - process-wide instruments behind a zero-cost-when-disabled sink:
       {!Telemetry}. *)
 
-module Backend = Pc_heap.Backend
 module Word = Pc_heap.Word
 module Interval = Pc_heap.Interval
 module Oid = Pc_heap.Oid
@@ -110,7 +108,6 @@ type pf_report = {
 }
 
 val run_pf :
-  ?backend:Pc_heap.Backend.t ->
   ?ell:int ->
   ?audit:Pc_audit.Oracle.level ->
   ?failures_dir:string ->
@@ -133,7 +130,6 @@ type robson_report = {
 }
 
 val run_robson :
-  ?backend:Pc_heap.Backend.t ->
   ?steps:int ->
   m:int ->
   n:int ->

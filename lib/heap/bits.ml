@@ -1,5 +1,5 @@
 (* Single-word bit tricks for the 32-bit masks of the radix structures
-   ([Bitset], [Free_index_imp]). Masks are stored in OCaml [int]s with
+   ([Bitset], [Free_index]). Masks are stored in OCaml [int]s with
    only the low 32 bits used, so all intermediates stay well inside the
    63-bit native range. *)
 

@@ -1,37 +1,435 @@
-(* Dispatching front-end over the two free-index backends. Every
-   operation is a single tag match away from the concrete
-   implementation; both backends share [Heap_types.fit] so results pass
-   through without re-wrapping. *)
+(* The free-index kernel: a flat 32-ary radix bitmap over gap start
+   addresses, augmented per node with the maximum gap length
+   underneath. Observationally identical to the reference
+   [Free_index_ref] (pinned by the differential suite in
+   test/test_backend_diff.ml) but mutable and cache-friendly:
+   occupy/release and the fit queries touch a handful of int-array
+   words per level — O(log32 address-range) — with no allocation on
+   the hot paths, where the persistent reference rebuilds O(log n) AVL
+   spine nodes per operation.
 
-type t = Ref of Free_index_ref.t | Imp of Free_index_imp.t
+   Representation. [gap_len.(a) = l > 0] iff a maximal gap [a, a + l)
+   starts at address [a]. [masks] is the hierarchical bitmap of the
+   set of gap starts (level 0 packs addresses 32 per word; bit [b] of
+   [masks.(k).(w)] says child [w*32 + b] of level [k-1] is non-empty),
+   and [maxl.(k).(w)] is the largest gap length anywhere under that
+   node ([0] for an empty node). The capacity is a power of two and
+   grows geometrically, so the top level always has exactly one word
+   and [maxl.(nlevels-1).(0)] is the global largest gap.
+
+   For best-fit parity with the reference (smallest sufficient length,
+   ties by lowest address) we also index which gap lengths are present:
+   [len_small]/[len_big] count gaps per exact length and [lens] is the
+   bitset of lengths with non-zero count. *)
+
+(* Reusable scratch for [iter_largest_gaps]: a binary max-heap of
+   (level, word, mask of unconsumed children) entries in parallel int
+   arrays, each keyed by the exact key of its best child. *)
+type topk = {
+  mutable tk_len : int array; (* key: gap length (exact or node max) *)
+  mutable tk_start : int array; (* key: gap start / highest address *)
+  mutable tk_lvl : int array;
+  mutable tk_w : int array;
+  mutable tk_mask : int array;
+  mutable tk_n : int;
+}
+
+type t = {
+  mutable frontier : int;
+  mutable nlevels : int;
+  mutable cap : int; (* power of two; 32^nlevels >= cap *)
+  mutable masks : int array array;
+  mutable maxl : int array array;
+  mutable gap_len : int array; (* length [cap] *)
+  mutable gap_count : int;
+  mutable free_total : int;
+  lens : Bitset.t; (* distinct gap lengths present *)
+  len_small : int array; (* count of gaps per length < small_len_limit *)
+  len_big : (int, int) Hashtbl.t; (* likewise for longer gaps *)
+  tk : topk; (* scratch for iter_largest_gaps *)
+  mutable tk_busy : bool; (* reentrant calls fall back to fresh scratch *)
+}
+
 type fit = Heap_types.fit = Gap of int | Tail of int
 
-let create ?backend () =
-  match
-    match backend with Some b -> b | None -> Backend.default ()
-  with
-  | Backend.Imperative -> Imp (Free_index_imp.create ())
-  | Backend.Reference -> Ref (Free_index_ref.create ())
+let small_len_limit = 4096
 
-let backend = function Ref _ -> Backend.Reference | Imp _ -> Backend.Imperative
-let of_ref r = Ref r
-let of_imp i = Imp i
+let level_len cap k =
+  let shift = 5 * (k + 1) in
+  (cap + (1 lsl shift) - 1) lsr shift
 
-let frontier = function
-  | Ref t -> Free_index_ref.frontier t
-  | Imp t -> Free_index_imp.frontier t
+let nlevels_for cap =
+  let rec go n = if 1 lsl (5 * n) >= cap then n else go (n + 1) in
+  go 1
 
-let gap_count = function
-  | Ref t -> Free_index_ref.gap_count t
-  | Imp t -> Free_index_imp.gap_count t
+let topk_make () =
+  {
+    tk_len = Array.make 64 0;
+    tk_start = Array.make 64 0;
+    tk_lvl = Array.make 64 0;
+    tk_w = Array.make 64 0;
+    tk_mask = Array.make 64 0;
+    tk_n = 0;
+  }
 
-let free_below_frontier = function
-  | Ref t -> Free_index_ref.free_below_frontier t
-  | Imp t -> Free_index_imp.free_below_frontier t
+let create () =
+  let nlevels = 2 in
+  let cap = 1 lsl (5 * nlevels) in
+  {
+    frontier = 0;
+    nlevels;
+    cap;
+    masks = Array.init nlevels (fun k -> Array.make (level_len cap k) 0);
+    maxl = Array.init nlevels (fun k -> Array.make (level_len cap k) 0);
+    gap_len = Array.make cap 0;
+    gap_count = 0;
+    free_total = 0;
+    lens = Bitset.create ();
+    len_small = Array.make small_len_limit 0;
+    len_big = Hashtbl.create 16;
+    tk = topk_make ();
+    tk_busy = false;
+  }
 
-let largest_gap = function
-  | Ref t -> Free_index_ref.largest_gap t
-  | Imp t -> Free_index_imp.largest_gap t
+let frontier t = t.frontier
+let gap_count t = t.gap_count
+let free_below_frontier t = t.free_total
+let[@inline] root_max t = t.maxl.(t.nlevels - 1).(0)
+let largest_gap t = root_max t
+
+(* Grow the capacity (by doubling) so that address [n] is addressable.
+   Existing level arrays are prefixes of their grown versions. A fresh
+   top level covers all old content under child 0, so it gets bit 0 and
+   the old root max iff the structure is non-empty. *)
+let ensure t n =
+  if n >= t.cap then begin
+    let cap = ref (t.cap * 2) in
+    while n >= !cap do
+      cap := !cap * 2
+    done;
+    let cap = !cap in
+    let nlevels = nlevels_for cap in
+    let gap_len = Array.make cap 0 in
+    Array.blit t.gap_len 0 gap_len 0 t.cap;
+    let masks = Array.make nlevels [||] and maxl = Array.make nlevels [||] in
+    for k = 0 to nlevels - 1 do
+      let len = level_len cap k in
+      let m = Array.make len 0 and x = Array.make len 0 in
+      if k < t.nlevels then begin
+        Array.blit t.masks.(k) 0 m 0 (Array.length t.masks.(k));
+        Array.blit t.maxl.(k) 0 x 0 (Array.length t.maxl.(k))
+      end
+      else if masks.(k - 1).(0) <> 0 then begin
+        m.(0) <- 1;
+        x.(0) <- maxl.(k - 1).(0)
+      end;
+      masks.(k) <- m;
+      maxl.(k) <- x
+    done;
+    t.cap <- cap;
+    t.nlevels <- nlevels;
+    t.masks <- masks;
+    t.maxl <- maxl;
+    t.gap_len <- gap_len
+  end
+
+let incr_len_count t len =
+  let c =
+    if len < small_len_limit then begin
+      let c = t.len_small.(len) in
+      t.len_small.(len) <- c + 1;
+      c
+    end
+    else begin
+      let c =
+        match Hashtbl.find_opt t.len_big len with Some c -> c | None -> 0
+      in
+      Hashtbl.replace t.len_big len (c + 1);
+      c
+    end
+  in
+  if c = 0 then Bitset.add t.lens len
+
+let decr_len_count t len =
+  let c =
+    if len < small_len_limit then begin
+      let c = t.len_small.(len) - 1 in
+      t.len_small.(len) <- c;
+      c
+    end
+    else begin
+      let c = Hashtbl.find t.len_big len - 1 in
+      if c = 0 then Hashtbl.remove t.len_big len
+      else Hashtbl.replace t.len_big len c;
+      c
+    end
+  in
+  if c = 0 then Bitset.remove t.lens len
+
+let add_gap t start len =
+  ensure t start;
+  t.gap_len.(start) <- len;
+  t.gap_count <- t.gap_count + 1;
+  t.free_total <- t.free_total + len;
+  incr_len_count t len;
+  (* Set the bit at each level; keep climbing only while this gap
+     raises the node max (an empty word has max 0 < len, so a fresh
+     bit always climbs). *)
+  let rec go k idx =
+    if k < t.nlevels then begin
+      let w = idx lsr 5 and b = idx land 31 in
+      t.masks.(k).(w) <- t.masks.(k).(w) lor (1 lsl b);
+      if len > t.maxl.(k).(w) then begin
+        t.maxl.(k).(w) <- len;
+        go (k + 1) w
+      end
+    end
+  in
+  go 0 start
+
+let remove_gap t start =
+  let len = t.gap_len.(start) in
+  t.gap_len.(start) <- 0;
+  t.gap_count <- t.gap_count - 1;
+  t.free_total <- t.free_total - len;
+  decr_len_count t len;
+  (* Clear the bit where the child emptied and recompute the node max
+     where the removed child may have held it; stop as soon as neither
+     the emptiness nor the max of the current word changed. *)
+  let rec go k idx ~child_empty ~old_child_max ~new_child_max =
+    if k < t.nlevels then begin
+      let w = idx lsr 5 and b = idx land 31 in
+      let word =
+        if child_empty then begin
+          let word = t.masks.(k).(w) land lnot (1 lsl b) in
+          t.masks.(k).(w) <- word;
+          word
+        end
+        else t.masks.(k).(w)
+      in
+      let old_max = t.maxl.(k).(w) in
+      if old_child_max >= old_max then begin
+        let rec remax nm rest =
+          if rest = 0 then nm
+          else begin
+            let bb = Bits.ntz32 rest in
+            let c = (w lsl 5) lor bb in
+            let v = if k = 0 then t.gap_len.(c) else t.maxl.(k - 1).(c) in
+            remax (if v > nm then v else nm) (rest land (rest - 1))
+          end
+        in
+        let nm = remax new_child_max (word land lnot (1 lsl b)) in
+        t.maxl.(k).(w) <- nm;
+        if word = 0 || nm < old_max then
+          go (k + 1) w ~child_empty:(word = 0) ~old_child_max:old_max
+            ~new_child_max:nm
+      end
+      (* else the max came from another child, so the word is still
+         non-empty and nothing changes further up *)
+    end
+  in
+  go 0 start ~child_empty:true ~old_child_max:len ~new_child_max:0
+
+(* Greatest gap start <= i, or -1. *)
+let pred_start t i =
+  let i = min i (t.cap - 1) in
+  if i < 0 then -1
+  else begin
+    let rec descend_max k w =
+      let c = (w lsl 5) lor Bits.msb32 t.masks.(k).(w) in
+      if k = 0 then c else descend_max (k - 1) c
+    in
+    let rec up k idx =
+      if k >= t.nlevels || idx < 0 then -1
+      else begin
+        let w = idx lsr 5 and b = idx land 31 in
+        let below = t.masks.(k).(w) land ((1 lsl (b + 1)) - 1) in
+        if below <> 0 then begin
+          let c = (w lsl 5) lor Bits.msb32 below in
+          if k = 0 then c else descend_max (k - 1) c
+        end
+        else if w = 0 then -1
+        else up (k + 1) (w - 1)
+      end
+    in
+    up 0 i
+  end
+
+(* Least gap start >= i, or -1. *)
+let succ_start t i =
+  let i = max i 0 in
+  if i >= t.cap then -1
+  else begin
+    let rec descend_min k w =
+      let c = (w lsl 5) lor Bits.ntz32 t.masks.(k).(w) in
+      if k = 0 then c else descend_min (k - 1) c
+    in
+    let rec up k idx =
+      if k >= t.nlevels then -1
+      else begin
+        let w = idx lsr 5 and b = idx land 31 in
+        if w >= Array.length t.masks.(k) then -1
+        else begin
+          let rest = t.masks.(k).(w) lsr b in
+          if rest <> 0 then begin
+            let c = (w lsl 5) lor (b + Bits.ntz32 rest) in
+            if k = 0 then c else descend_min (k - 1) c
+          end
+          else up (k + 1) (w + 1)
+        end
+      end
+    in
+    up 0 i
+  end
+
+(* Visit the gaps of length >= size with start >= lo in ascending start
+   order, pruning whole subtrees on the max-length augmentation.
+   [test start len] returns -1 to continue, any other value to stop the
+   scan with that result; the scan returns -1 when exhausted. *)
+let search_up t ~lo ~size test =
+  let lo = max lo 0 in
+  if lo >= t.cap || root_max t < size then -1
+  else begin
+    (* [bits] walks one word's set bits ascending; tail recursion keeps
+       the state in registers — a [ref]-based loop would allocate per
+       node visited, and this runs on every allocation. *)
+    let rec scan k w =
+      let base = w lsl 5 in
+      let c0 = lo lsr (5 * k) in
+      let b0 = if c0 <= base then 0 else c0 - base in
+      if b0 > 31 then -1 else bits k base (t.masks.(k).(w) lsr b0) b0
+    and bits k base rest b =
+      if rest = 0 then -1
+      else begin
+        let skip = Bits.ntz32 rest in
+        let bb = b + skip in
+        let c = base lor bb in
+        let r =
+          if k = 0 then begin
+            let gl = t.gap_len.(c) in
+            if gl >= size then test c gl else -1
+          end
+          else if t.maxl.(k - 1).(c) >= size then scan (k - 1) c
+          else -1
+        in
+        if r <> -1 then r else bits k base (rest lsr (skip + 1)) (bb + 1)
+      end
+    in
+    scan (t.nlevels - 1) 0
+  end
+
+(* Same, descending start order over gaps with start <= hi. *)
+let search_down t ~hi ~size test =
+  let hi = min hi (t.cap - 1) in
+  if hi < 0 || root_max t < size then -1
+  else begin
+    (* Allocation-free like [search_up]: this is the top-k enumeration
+       workhorse behind every eviction. *)
+    let rec scan k w =
+      let base = w lsl 5 in
+      let chi = hi lsr (5 * k) in
+      let bhi = if chi >= base + 31 then 31 else chi - base in
+      if bhi < 0 then -1
+      else bits k base (t.masks.(k).(w) land ((1 lsl (bhi + 1)) - 1))
+    and bits k base rest =
+      if rest = 0 then -1
+      else begin
+        let bb = Bits.msb32 rest in
+        let c = base lor bb in
+        let r =
+          if k = 0 then begin
+            let gl = t.gap_len.(c) in
+            if gl >= size then test c gl else -1
+          end
+          else if t.maxl.(k - 1).(c) >= size then scan (k - 1) c
+          else -1
+        in
+        if r <> -1 then r else bits k base (rest land lnot (1 lsl bb))
+      end
+    in
+    scan (t.nlevels - 1) 0
+  end
+
+(* The gap [(start, len)] below the frontier containing
+   [addr, addr + len) entirely, if any; returns the start, with the
+   length one O(1) array read away. *)
+let containing_gap t ~addr ~len =
+  if addr >= t.frontier then -1
+  else begin
+    let s = pred_start t addr in
+    if s >= 0 && addr + len <= s + t.gap_len.(s) then s else -1
+  end
+
+let is_free t ~addr ~len =
+  if len = 0 then true
+  else if addr + len > t.frontier then addr >= t.frontier
+  else containing_gap t ~addr ~len >= 0
+
+let occupy t ~addr ~len =
+  if len <= 0 then invalid_arg "Free_index.occupy: non-positive length";
+  if addr >= t.frontier then begin
+    (* Carve from the tail, leaving a gap between the old frontier and
+       the new allocation when they are not adjacent. *)
+    if addr > t.frontier then add_gap t t.frontier (addr - t.frontier);
+    t.frontier <- addr + len
+  end
+  else begin
+    match containing_gap t ~addr ~len with
+    | -1 -> invalid_arg "Free_index.occupy: extent not free"
+    | s ->
+        let l = t.gap_len.(s) in
+        remove_gap t s;
+        if addr > s then add_gap t s (addr - s);
+        if addr + len < s + l then add_gap t (addr + len) (s + l - addr - len)
+  end
+
+(* Mark [addr, addr + len) free again, coalescing with neighbouring
+   gaps and with the tail. Both overlap checks run before any mutation
+   so a rejected release leaves the index untouched; the predecessor
+   check covers a gap starting exactly at [addr] (s = addr gives
+   s + l > addr), which must be rejected, not coalesced. *)
+let release t ~addr ~len =
+  if len <= 0 then invalid_arg "Free_index.release: non-positive length";
+  if addr + len > t.frontier then
+    invalid_arg "Free_index.release: extent beyond frontier";
+  let coalesce_left =
+    let p = pred_start t addr in
+    if p < 0 then -1
+    else begin
+      let stop = p + t.gap_len.(p) in
+      if stop > addr then invalid_arg "Free_index.release: extent already free"
+      else if stop = addr then p
+      else -1
+    end
+  in
+  let coalesce_right =
+    (* Any gap starting inside the extent means part of it is already
+       free; a gap starting exactly at its end coalesces. *)
+    let s = succ_start t (addr + 1) in
+    if s < 0 then -1
+    else if s < addr + len then
+      invalid_arg "Free_index.release: extent already free"
+    else if s = addr + len then s
+    else -1
+  in
+  let start, length =
+    if coalesce_left >= 0 then begin
+      let l = t.gap_len.(coalesce_left) in
+      remove_gap t coalesce_left;
+      (coalesce_left, l + len)
+    end
+    else (addr, len)
+  in
+  let start, length =
+    if coalesce_right >= 0 then begin
+      let l = t.gap_len.(coalesce_right) in
+      remove_gap t coalesce_right;
+      (start, length + l)
+    end
+    else (start, length)
+  in
+  if start + length = t.frontier then t.frontier <- start
+  else add_gap t start length
 
 (* Telemetry: every placement query is one "search"; the number of
    gaps alive when it runs bounds the probe work (exact for best/worst
@@ -45,91 +443,401 @@ let gaps_h = T.Registry.histogram "free_index.gaps_at_search"
 let observe_search t =
   if !T.Sink.active then begin
     T.Counter.incr searches_c;
-    if !T.Sink.full_active then T.Histogram.observe gaps_h (gap_count t)
+    if !T.Sink.full_active then T.Histogram.observe gaps_h t.gap_count
   end
-
-let is_free t ~addr ~len =
-  match t with
-  | Ref t -> Free_index_ref.is_free t ~addr ~len
-  | Imp t -> Free_index_imp.is_free t ~addr ~len
-
-let occupy t ~addr ~len =
-  match t with
-  | Ref t -> Free_index_ref.occupy t ~addr ~len
-  | Imp t -> Free_index_imp.occupy t ~addr ~len
-
-let release t ~addr ~len =
-  match t with
-  | Ref t -> Free_index_ref.release t ~addr ~len
-  | Imp t -> Free_index_imp.release t ~addr ~len
 
 let first_fit t ~size =
   observe_search t;
-  match t with
-  | Ref t -> Free_index_ref.first_fit t ~size
-  | Imp t -> Free_index_imp.first_fit t ~size
+  match search_up t ~lo:0 ~size (fun s _ -> s) with
+  | -1 -> Tail t.frontier
+  | s -> Gap s
 
 let first_fit_gap t ~size =
   observe_search t;
-  match t with
-  | Ref t -> Free_index_ref.first_fit_gap t ~size
-  | Imp t -> Free_index_imp.first_fit_gap t ~size
+  match search_up t ~lo:0 ~size (fun s _ -> s) with -1 -> None | s -> Some s
 
 let first_fit_from t ~from ~size =
   observe_search t;
-  match t with
-  | Ref t -> Free_index_ref.first_fit_from t ~from ~size
-  | Imp t -> Free_index_imp.first_fit_from t ~from ~size
+  (* A gap starting before [from] may still contain [from, from+size):
+     check the predecessor explicitly, then search starts >= from. *)
+  let p = pred_start t from in
+  if p >= 0 && p < from && p + t.gap_len.(p) >= from + size then Some from
+  else begin
+    match search_up t ~lo:from ~size (fun s _ -> s) with
+    | -1 -> None
+    | s -> Some s
+  end
 
+(* Reference best fit is the lexicographically least (len, start) with
+   len >= size: first the smallest sufficient length present (from the
+   length bitset), then the leftmost gap of exactly that length. The
+   left-to-right scan may pass longer gaps — it prunes on max length,
+   not exact length — so this is O(gaps) worst case, but best-fit
+   placement is only exercised by the niche best-fit/TLSF managers at
+   small scales. *)
 let best_fit_gap t ~size =
   observe_search t;
-  match t with
-  | Ref t -> Free_index_ref.best_fit_gap t ~size
-  | Imp t -> Free_index_imp.best_fit_gap t ~size
+  let l = Bitset.succ t.lens (max size 0) in
+  if l < 0 then None
+  else begin
+    match search_up t ~lo:0 ~size:l (fun s gl -> if gl = l then s else -1) with
+    | -1 -> None
+    | s -> Some s
+  end
 
+(* Largest length, ties by largest start: every gap the descending scan
+   visits already has the maximal length, so the first hit wins. *)
 let worst_fit_gap t ~size =
   observe_search t;
-  match t with
-  | Ref t -> Free_index_ref.worst_fit_gap t ~size
-  | Imp t -> Free_index_imp.worst_fit_gap t ~size
+  let lmax = root_max t in
+  if lmax = 0 || lmax < size then None
+  else begin
+    match
+      search_down t ~hi:(t.cap - 1) ~size:lmax (fun s gl ->
+          if gl = lmax then s else -1)
+    with
+    | -1 -> None
+    | s -> Some s
+  end
+
+let aligned_test ~size ~align s l =
+  let a = Word.align_up s ~align in
+  if a + size <= s + l then a else -1
 
 let first_aligned_fit t ~size ~align =
   observe_search t;
-  match t with
-  | Ref t -> Free_index_ref.first_aligned_fit t ~size ~align
-  | Imp t -> Free_index_imp.first_aligned_fit t ~size ~align
+  match search_up t ~lo:0 ~size (aligned_test ~size ~align) with
+  | -1 -> Tail (Word.align_up t.frontier ~align)
+  | a -> Gap a
 
 let first_aligned_fit_gap t ~size ~align =
   observe_search t;
-  match t with
-  | Ref t -> Free_index_ref.first_aligned_fit_gap t ~size ~align
-  | Imp t -> Free_index_imp.first_aligned_fit_gap t ~size ~align
+  match search_up t ~lo:0 ~size (aligned_test ~size ~align) with
+  | -1 -> None
+  | a -> Some a
 
+(* Lowest aligned address >= from where [size] words fit inside an
+   existing gap; the gap containing [from] itself is also considered. *)
 let first_aligned_fit_from t ~from ~size ~align =
   observe_search t;
-  match t with
-  | Ref t -> Free_index_ref.first_aligned_fit_from t ~from ~size ~align
-  | Imp t -> Free_index_imp.first_aligned_fit_from t ~from ~size ~align
+  let in_pred =
+    let p = pred_start t from in
+    if p >= 0 && p < from then begin
+      let a = Word.align_up from ~align in
+      if a + size <= p + t.gap_len.(p) then a else -1
+    end
+    else -1
+  in
+  if in_pred >= 0 then Some in_pred
+  else begin
+    match search_up t ~lo:from ~size (aligned_test ~size ~align) with
+    | -1 -> None
+    | a -> Some a
+  end
 
 let iter_gaps t f =
-  match t with
-  | Ref t -> Free_index_ref.iter_gaps t f
-  | Imp t -> Free_index_imp.iter_gaps t f
+  ignore
+    (search_up t ~lo:0 ~size:1 (fun s l ->
+         f s l;
+         -1))
 
-let gaps = function
-  | Ref t -> Free_index_ref.gaps t
-  | Imp t -> Free_index_imp.gaps t
+let gaps t =
+  let acc = ref [] in
+  iter_gaps t (fun s l -> acc := (s, l) :: !acc);
+  List.rev !acc
+
+(* The k largest gaps as (len, start) lexicographically descending,
+   enumerated best-first: a small binary max-heap holds radix subtrees
+   keyed by (max length under the node, highest address under the
+   node) — an upper bound on the key of every gap inside — plus
+   already-resolved gaps keyed exactly. Popping a subtree pushes its
+   children; popping a gap emits it, and the bound property guarantees
+   no unexpanded gap can beat it. Each emission expands at most one
+   root-to-leaf path, so a call is O(k * 32 log32 cap) no matter how
+   many gaps or distinct lengths exist. (The eviction machinery calls
+   this on every heap-growing allocation, so it must not degrade into
+   a full-tree rescan.) *)
+(* --- top-k gap enumeration ---------------------------------------
+
+   The k largest gaps as (len, start) lexicographically descending,
+   enumerated best-first. The scratch heap holds (level, word, mask of
+   unconssumed children) entries keyed by the exact key of the word's
+   best child under that order: for a level-0 word that is a concrete
+   gap key (len, start); for higher words it is the child's
+   (max-length, highest-address) upper bound, which dominates every
+   gap key inside the child. Popping the root either emits its best
+   gap (level 0: keys are exact) or descends one level into the best
+   child; in both cases the remainder of the word re-enters the heap
+   under its next-best key, so each emission costs O(32 log32 cap)
+   word scans and the heap stays O(k + levels) small. The eviction
+   machinery calls this on every heap-growing allocation, so it is
+   written allocation-free in direct style: reused scratch arrays on
+   [t], no closures, unsafe accesses on heap-internal indices. *)
+
+let[@inline] tk_less h i j =
+  let li = Array.unsafe_get h.tk_len i and lj = Array.unsafe_get h.tk_len j in
+  li < lj
+  || (li = lj && Array.unsafe_get h.tk_start i < Array.unsafe_get h.tk_start j)
+
+let[@inline] tk_swap h i j =
+  let sl = Array.unsafe_get h.tk_len i
+  and ss = Array.unsafe_get h.tk_start i
+  and sv = Array.unsafe_get h.tk_lvl i
+  and sw = Array.unsafe_get h.tk_w i
+  and sm = Array.unsafe_get h.tk_mask i in
+  Array.unsafe_set h.tk_len i (Array.unsafe_get h.tk_len j);
+  Array.unsafe_set h.tk_start i (Array.unsafe_get h.tk_start j);
+  Array.unsafe_set h.tk_lvl i (Array.unsafe_get h.tk_lvl j);
+  Array.unsafe_set h.tk_w i (Array.unsafe_get h.tk_w j);
+  Array.unsafe_set h.tk_mask i (Array.unsafe_get h.tk_mask j);
+  Array.unsafe_set h.tk_len j sl;
+  Array.unsafe_set h.tk_start j ss;
+  Array.unsafe_set h.tk_lvl j sv;
+  Array.unsafe_set h.tk_w j sw;
+  Array.unsafe_set h.tk_mask j sm
+
+(* Insert the word (lvl, w) with unconsumed children [m], keyed by its
+   best child; an empty mask is simply dropped. *)
+let tk_push t h lvl w m =
+  if m <> 0 then begin
+    let best_len = ref (-1) and best_start = ref (-1) in
+    let mm = ref m in
+    if lvl = 0 then begin
+      let base = w lsl 5 in
+      while !mm <> 0 do
+        let b = Bits.ntz32 !mm in
+        mm := !mm land (!mm - 1);
+        let c = base lor b in
+        let len = Array.unsafe_get t.gap_len c in
+        if len > !best_len || (len = !best_len && c > !best_start) then begin
+          best_len := len;
+          best_start := c
+        end
+      done
+    end
+    else begin
+      let child_maxl = t.maxl.(lvl - 1) in
+      let shift = 5 * lvl in
+      let base = w lsl 5 in
+      while !mm <> 0 do
+        let b = Bits.ntz32 !mm in
+        mm := !mm land (!mm - 1);
+        let c = base lor b in
+        let len = Array.unsafe_get child_maxl c in
+        (* [best_start] holds the child index until the loop ends;
+           children have disjoint address ranges, so on equal lengths
+           the higher index always has the higher address bound. *)
+        if len > !best_len || (len = !best_len && c > !best_start) then begin
+          best_len := len;
+          best_start := c
+        end
+      done;
+      best_start := ((!best_start + 1) lsl shift) - 1
+    end;
+    if h.tk_n = Array.length h.tk_len then begin
+      let grow a =
+        let a' = Array.make (2 * Array.length a) 0 in
+        Array.blit a 0 a' 0 (Array.length a);
+        a'
+      in
+      h.tk_len <- grow h.tk_len;
+      h.tk_start <- grow h.tk_start;
+      h.tk_lvl <- grow h.tk_lvl;
+      h.tk_w <- grow h.tk_w;
+      h.tk_mask <- grow h.tk_mask
+    end;
+    let i = ref h.tk_n in
+    h.tk_n <- h.tk_n + 1;
+    Array.unsafe_set h.tk_len !i !best_len;
+    Array.unsafe_set h.tk_start !i !best_start;
+    Array.unsafe_set h.tk_lvl !i lvl;
+    Array.unsafe_set h.tk_w !i w;
+    Array.unsafe_set h.tk_mask !i m;
+    while !i > 0 && tk_less h ((!i - 1) / 2) !i do
+      tk_swap h !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+  end
+
+let tk_pop_root h =
+  h.tk_n <- h.tk_n - 1;
+  if h.tk_n > 0 then begin
+    tk_swap h 0 h.tk_n;
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let m = ref !i in
+      if l < h.tk_n && tk_less h !m l then m := l;
+      if r < h.tk_n && tk_less h !m r then m := r;
+      if !m <> !i then begin
+        tk_swap h !i !m;
+        i := !m
+      end
+      else continue := false
+    done
+  end
+
+(* Best-first enumeration, exact (len, start) descending — see the
+   comment block above. Used when the gap population is large: cost is
+   O(k * 32 log32 cap) independent of the number of gaps. *)
+let tk_run_heap t h k f =
+  let top = t.nlevels - 1 in
+  tk_push t h top 0 t.masks.(top).(0);
+  let remaining = ref k in
+  while !remaining > 0 && h.tk_n > 0 do
+    let len = Array.unsafe_get h.tk_len 0
+    and start = Array.unsafe_get h.tk_start 0
+    and lvl = Array.unsafe_get h.tk_lvl 0
+    and w = Array.unsafe_get h.tk_w 0
+    and m = Array.unsafe_get h.tk_mask 0 in
+    tk_pop_root h;
+    if lvl = 0 then begin
+      (* Level-0 keys are exact: the root is the next gap. *)
+      f start len;
+      decr remaining;
+      tk_push t h 0 w (m land lnot (1 lsl (start land 31)))
+    end
+    else begin
+      let b = (start lsr (5 * lvl)) land 31 in
+      let c = (w lsl 5) lor b in
+      tk_push t h (lvl - 1) c t.masks.(lvl - 1).(c);
+      tk_push t h lvl w (m land lnot (1 lsl b))
+    end
+  done
+
+(* Count of gaps of exactly length [l]. *)
+let[@inline] len_count t l =
+  if l < small_len_limit then t.len_small.(l)
+  else match Hashtbl.find_opt t.len_big l with Some c -> c | None -> 0
+
+(* Enumerate via the per-length index: find the k-th largest present
+   gap length L* by walking the distinct lengths downward through
+   [lens], collect the (fewer than k) gaps strictly longer than L* in
+   one maxl-pruned descending address sweep and insertion-sort them —
+   keys are (len, start) packed into single ints so the sort compare is
+   one integer compare — then stream gaps of length exactly L* in
+   descending start order until k gaps are out. Cost is O(distinct
+   lengths + k · log32 cap). The packing needs [2 * 5 * nlevels <= 62];
+   the best-first walk below covers larger capacities. *)
+let tk_run_bylen t h k f =
+  let shift = 5 * t.nlevels in
+  let kk = min k t.gap_count in
+  let lstar = ref (root_max t) and krem = ref kk in
+  Bitset.rev_iter_while t.lens ~from:(root_max t) (fun l ->
+      let c = len_count t l in
+      if c >= !krem then begin
+        lstar := l;
+        false
+      end
+      else begin
+        krem := !krem - c;
+        true
+      end);
+  let lstar = !lstar and krem = !krem in
+  let n_above = kk - krem in
+  if Array.length h.tk_len < n_above then
+    h.tk_len <- Array.make (max 64 n_above) 0;
+  let a = h.tk_len in
+  let n = ref 0 in
+  if n_above > 0 then
+    ignore
+      (search_down t ~hi:(t.cap - 1) ~size:(lstar + 1) (fun s gl ->
+           let key = (gl lsl shift) lor s in
+           let i = ref !n in
+           while !i > 0 && Array.unsafe_get a (!i - 1) < key do
+             Array.unsafe_set a !i (Array.unsafe_get a (!i - 1));
+             decr i
+           done;
+           Array.unsafe_set a !i key;
+           incr n;
+           -1));
+  let low = (1 lsl shift) - 1 in
+  for i = 0 to !n - 1 do
+    let key = Array.unsafe_get a i in
+    f (key land low) (key lsr shift)
+  done;
+  if krem > 0 then begin
+    let left = ref krem in
+    ignore
+      (search_down t ~hi:(t.cap - 1) ~size:lstar (fun s gl ->
+           if gl = lstar then begin
+             f s lstar;
+             decr left;
+             if !left = 0 then s else -1
+           end
+           else -1))
+  end
+
+(* The eviction machinery calls this on every heap-growing allocation,
+   so the common case must be cheap. *)
+let iter_largest_gaps t ~k f =
+  if k > 0 && t.gap_count > 0 then begin
+    (* Reuse the scratch unless a callback re-enters on the same
+       index, in which case the inner call gets fresh arrays. *)
+    let reused = not t.tk_busy in
+    let h = if reused then t.tk else topk_make () in
+    if reused then t.tk_busy <- true;
+    h.tk_n <- 0;
+    let use_bylen = 2 * 5 * t.nlevels <= 62 in
+    match if use_bylen then tk_run_bylen t h k f else tk_run_heap t h k f with
+    | () -> if reused then t.tk_busy <- false
+    | exception e ->
+        if reused then t.tk_busy <- false;
+        raise e
+  end
 
 let largest_gaps t ~k =
-  match t with
-  | Ref t -> Free_index_ref.largest_gaps t ~k
-  | Imp t -> Free_index_imp.largest_gaps t ~k
+  let acc = ref [] in
+  iter_largest_gaps t ~k (fun start len -> acc := (start, len) :: !acc);
+  List.rev !acc
 
-let iter_largest_gaps t ~k f =
-  match t with
-  | Ref t -> Free_index_ref.iter_largest_gaps t ~k f
-  | Imp t -> Free_index_imp.iter_largest_gaps t ~k f
-
-let check_invariants = function
-  | Ref t -> Free_index_ref.check_invariants t
-  | Imp t -> Free_index_imp.check_invariants t
+let check_invariants t =
+  let prev_stop = ref (-1) and n = ref 0 and tot = ref 0 in
+  let counts = Hashtbl.create 16 in
+  iter_gaps t (fun s l ->
+      if l <= 0 then failwith "Free_index: empty gap";
+      if s <= !prev_stop then failwith "Free_index: touching/overlapping gaps";
+      prev_stop := s + l;
+      if s + l >= t.frontier then failwith "Free_index: gap touches frontier";
+      incr n;
+      tot := !tot + l;
+      Hashtbl.replace counts l
+        (1 + Option.value (Hashtbl.find_opt counts l) ~default:0));
+  if !n <> t.gap_count then failwith "Free_index: index cardinality mismatch";
+  if !tot <> t.free_total then failwith "Free_index: free total drift";
+  (* the per-length counts and the length bitset agree with the gaps *)
+  Hashtbl.iter
+    (fun l c ->
+      let stored =
+        if l < small_len_limit then t.len_small.(l)
+        else Option.value (Hashtbl.find_opt t.len_big l) ~default:0
+      in
+      if stored <> c then failwith "Free_index: length count drift";
+      if not (Bitset.mem t.lens l) then
+        failwith "Free_index: length missing from length set")
+    counts;
+  Bitset.iter t.lens (fun l ->
+      if not (Hashtbl.mem counts l) then failwith "Free_index: stale length bit");
+  (* every mask bit reflects a non-empty child and every max matches *)
+  for k = 0 to t.nlevels - 1 do
+    for w = 0 to Array.length t.masks.(k) - 1 do
+      let m = ref 0 in
+      for b = 0 to 31 do
+        let c = (w lsl 5) lor b in
+        let bit = t.masks.(k).(w) land (1 lsl b) <> 0 in
+        let present, v =
+          if k = 0 then
+            if c < t.cap then (t.gap_len.(c) > 0, t.gap_len.(c)) else (false, 0)
+          else if c < Array.length t.masks.(k - 1) then
+            (t.masks.(k - 1).(c) <> 0, t.maxl.(k - 1).(c))
+          else (false, 0)
+        in
+        if bit <> present then failwith "Free_index: radix bitmap drift";
+        if present && v > !m then m := v
+      done;
+      if t.maxl.(k).(w) <> !m then
+        failwith "Free_index: max-length augmentation drift"
+    done
+  done

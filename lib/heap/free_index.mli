@@ -1,92 +1,8 @@
-(** Index of the free space of a conceptually unbounded heap [\[0, ∞)].
+(** The free-index kernel: a mutable 32-ary radix bitmap over gap start
+    addresses with per-node max-gap-length augmentation. Occupy,
+    release and fit queries are O(log32 address-range) and allocate
+    nothing on the hot path; every fit query counts one
+    [free_index.searches]. See {!Heap_intf.FREE_INDEX} for the
+    interface documentation. *)
 
-    Free space consists of a finite set of maximal gaps below a
-    [frontier], plus the infinite free tail at [\[frontier, ∞)].
-
-    Two observationally identical backends implement the index (the
-    differential suite pins placements, gap lists and metrics to be
-    bit-identical): the imperative radix-bitmap substrate
-    ([Free_index_imp], the default — O(log32 address-range) mutations
-    and fit queries, allocation-free hot paths) and the original
-    persistent substrate ([Free_index_ref] — AVL gap tree plus a
-    by-length set, O(log gaps) with rebuild churn), selected per index
-    at {!create} time or process-wide via [Backend]. *)
-
-type t
-
-type fit = Heap_types.fit =
-  | Gap of int  (** address inside an existing gap *)
-  | Tail of int  (** address at (or aligned just above) the frontier *)
-
-val create : ?backend:Backend.t -> unit -> t
-(** [create ()] uses {!Backend.default}. *)
-
-val backend : t -> Backend.t
-
-val of_ref : Free_index_ref.t -> t
-(** Wrap a concrete backend index (for the [Heap] dispatcher and
-    backend-specific tests). *)
-
-val of_imp : Free_index_imp.t -> t
-
-val frontier : t -> int
-(** All addresses at or above the frontier are free. *)
-
-val gap_count : t -> int
-val free_below_frontier : t -> int
-val largest_gap : t -> int
-val is_free : t -> addr:int -> len:int -> bool
-
-val occupy : t -> addr:int -> len:int -> unit
-(** Mark an entirely-free extent occupied. Raises [Invalid_argument]
-    otherwise. *)
-
-val release : t -> addr:int -> len:int -> unit
-(** Mark an occupied extent free, coalescing with neighbours and the
-    tail. Raises [Invalid_argument] if any part is already free or the
-    extent reaches beyond the frontier; a rejected release leaves the
-    index unchanged. *)
-
-val first_fit : t -> size:int -> fit
-(** Lowest address where [size] words fit (always succeeds thanks to
-    the tail). *)
-
-val first_fit_gap : t -> size:int -> int option
-(** Like {!first_fit} but only considers existing gaps. *)
-
-val first_fit_from : t -> from:int -> size:int -> int option
-(** Lowest address [>= from] inside an existing gap where [size] words
-    fit. *)
-
-val best_fit_gap : t -> size:int -> int option
-(** Address of a smallest gap of length [>= size] (ties: lowest
-    address). *)
-
-val worst_fit_gap : t -> size:int -> int option
-(** Address of the largest gap if it can hold [size] words (ties:
-    highest address). *)
-
-val first_aligned_fit : t -> size:int -> align:int -> fit
-(** Lowest [align]-divisible address where [size] words fit. *)
-
-val first_aligned_fit_gap : t -> size:int -> align:int -> int option
-
-val first_aligned_fit_from :
-  t -> from:int -> size:int -> align:int -> int option
-(** Lowest [align]-divisible address [>= from] where [size] words fit
-    inside an existing gap. *)
-
-val iter_gaps : t -> (int -> int -> unit) -> unit
-val gaps : t -> (int * int) list
-(** [(start, len)] pairs in address order. *)
-
-val largest_gaps : t -> k:int -> (int * int) list
-(** The [k] largest gaps as [(start, len)], longest first (ties:
-    descending start). *)
-
-val iter_largest_gaps : t -> k:int -> (int -> int -> unit) -> unit
-(** [iter_largest_gaps t ~k f] calls [f start len] on the [k] largest
-    gaps, longest first, without materialising a list. *)
-
-val check_invariants : t -> unit
-(** Raises [Failure] on a broken structural invariant; for tests. *)
+include Heap_intf.FREE_INDEX

@@ -1,72 +1,6 @@
-(** Reference (persistent) free-space index: AVL gap tree plus a
-    by-length set. Kept as the semantic oracle for the imperative
-    backend; see [Free_index] for the dispatching front-end and the
-    full interface documentation. All fit queries are exact and run in
-    time logarithmic in the number of gaps. *)
+(** The reference free index: an AVL gap tree ({!Gap_tree}) plus a
+    by-length set, with exact fit queries logarithmic in the number of
+    gaps. Kept only as the oracle {!Free_index} is checked against.
+    See {!Heap_intf.FREE_INDEX} for the interface documentation. *)
 
-type t
-
-type fit = Heap_types.fit =
-  | Gap of int  (** address inside an existing gap *)
-  | Tail of int  (** address at (or aligned just above) the frontier *)
-
-val create : unit -> t
-
-val frontier : t -> int
-(** All addresses at or above the frontier are free. *)
-
-val gap_count : t -> int
-val free_below_frontier : t -> int
-val largest_gap : t -> int
-val is_free : t -> addr:int -> len:int -> bool
-
-val occupy : t -> addr:int -> len:int -> unit
-(** Mark an entirely-free extent occupied. Raises [Invalid_argument]
-    otherwise. *)
-
-val release : t -> addr:int -> len:int -> unit
-(** Mark an occupied extent free, coalescing with neighbours and the
-    tail. Raises [Invalid_argument] if any part is already free or the
-    extent reaches beyond the frontier. *)
-
-val first_fit : t -> size:int -> fit
-(** Lowest address where [size] words fit (always succeeds thanks to
-    the tail). *)
-
-val first_fit_gap : t -> size:int -> int option
-(** Like {!first_fit} but only considers existing gaps. *)
-
-val first_fit_from : t -> from:int -> size:int -> int option
-(** Lowest address [>= from] inside an existing gap where [size] words
-    fit. *)
-
-val best_fit_gap : t -> size:int -> int option
-(** Address of a smallest gap of length [>= size] (ties: lowest
-    address). *)
-
-val worst_fit_gap : t -> size:int -> int option
-(** Address of the largest gap if it can hold [size] words. *)
-
-val first_aligned_fit : t -> size:int -> align:int -> fit
-(** Lowest [align]-divisible address where [size] words fit. *)
-
-val first_aligned_fit_gap : t -> size:int -> align:int -> int option
-
-val first_aligned_fit_from :
-  t -> from:int -> size:int -> align:int -> int option
-(** Lowest [align]-divisible address [>= from] where [size] words fit
-    inside an existing gap. *)
-
-val iter_gaps : t -> (int -> int -> unit) -> unit
-val gaps : t -> (int * int) list
-(** [(start, len)] pairs in address order. *)
-
-val largest_gaps : t -> k:int -> (int * int) list
-(** The [k] largest gaps as [(start, len)], longest first. *)
-
-val iter_largest_gaps : t -> k:int -> (int -> int -> unit) -> unit
-(** [iter_largest_gaps t ~k f] calls [f start len] on the [k] largest
-    gaps, longest first, without materialising a list. *)
-
-val check_invariants : t -> unit
-(** Raises [Failure] on a broken structural invariant; for tests. *)
+include Heap_intf.FREE_INDEX

@@ -1,91 +1,7 @@
-(** Reference (persistent) heap backend: hashtable object store plus a
-    persistent address map, over [Free_index_ref]. Kept as the semantic
-    oracle for [Heap_imp]; see the dispatching [Heap] for the full
-    interface documentation.
+(** The reference heap: a hashtable object store plus a persistent
+    address map over {!Free_index_ref}. Kept only as the oracle the
+    kernel ({!Heap}) is checked against — by the differential audit
+    watchdog and the tests. It feeds no telemetry. See
+    {!Heap_intf.HEAP} for the interface documentation. *)
 
-    A set of live objects placed at disjoint word extents of [\[0, ∞)],
-    with the bookkeeping the paper's model needs: cumulative allocated
-    words (which recharge the compaction budget), cumulative moved
-    words, and the high-water mark — the heap size [HS] of the paper
-    ("the smallest consecutive space the memory manager may use",
-    anchored at address 0).
-
-    The heap is policy-free: {i where} objects go is decided by a
-    memory manager (see [Pc_manager]); {i which} objects exist is
-    decided by a program (see [Pc_adversary]). *)
-
-type obj = Heap_types.obj = { oid : Oid.t; addr : int; size : int }
-
-type event = Heap_types.event =
-  | Alloc of obj
-  | Free of obj
-  | Move of { oid : Oid.t; size : int; src : int; dst : int }
-
-type t
-
-val create : unit -> t
-
-val on_event : t -> (event -> unit) -> unit
-(** Subscribe to heap events; listeners fire synchronously, most
-    recently added first. *)
-
-val alloc : t -> addr:int -> size:int -> Oid.t
-(** Place a fresh object. Raises [Invalid_argument] if the extent is
-    not entirely free or [size <= 0]. *)
-
-val free : t -> Oid.t -> unit
-(** Raises [Invalid_argument] on an unknown or dead object. *)
-
-val move : t -> Oid.t -> dst:int -> unit
-(** Relocate a live object; sliding moves overlapping the old extent
-    are allowed. Counts the object's size towards {!moved_total}.
-    Raises [Invalid_argument] if the destination is not free. *)
-
-val find : t -> Oid.t -> obj option
-val get : t -> Oid.t -> obj
-val addr : t -> Oid.t -> int
-val size : t -> Oid.t -> int
-val live_words : t -> int
-val live_objects : t -> int
-
-val allocated_total : t -> int
-(** Cumulative words allocated over the whole execution (the paper's
-    [s]). *)
-
-val moved_total : t -> int
-(** Cumulative words moved by compaction. *)
-
-val freed_total : t -> int
-
-val high_water : t -> int
-(** The heap size [HS] so far. *)
-
-val free_index : t -> Free_index_ref.t
-(** The free-space index (shared, read-only by convention: managers
-    must mutate the heap only through {!alloc}/{!free}/{!move}). *)
-
-val is_free : t -> addr:int -> size:int -> bool
-val iter_live : t -> (obj -> unit) -> unit
-(** In address order. *)
-
-val fold_live : t -> init:'a -> f:('a -> obj -> 'a) -> 'a
-val live_list : t -> obj list
-
-val objects_in : t -> start:int -> stop:int -> obj list
-(** Live objects intersecting [\[start, stop)], in address order. *)
-
-val fold_objects_in :
-  t -> start:int -> stop:int -> init:'a -> f:('a -> obj -> 'a) -> 'a
-(** Fold over the live objects intersecting [\[start, stop)] in address
-    order without materialising a list — the allocation-free core of
-    {!objects_in} and {!occupied_words_in}. *)
-
-val occupied_words_in : t -> start:int -> stop:int -> int
-val clear_cost : t -> start:int -> stop:int -> cap:int -> int
-(** Number of live words inside [\[start, stop)]. *)
-
-val check_invariants : t -> unit
-(** Full [O(n)] consistency check; raises [Failure] on drift. *)
-
-val pp_obj : Format.formatter -> obj -> unit
-val pp_event : Format.formatter -> event -> unit
+include Heap_intf.HEAP with type free_index = Free_index_ref.t

@@ -1,13 +1,12 @@
-(* Types shared by every heap backend and re-exported by [Heap]: the
-   live-object record and the event stream. Kept in their own module so
-   the reference and imperative substrates (and the dispatching [Heap])
-   can share them without a dependency cycle. *)
+(* Types shared by the heap kernel and the reference, and re-exported
+   by [Heap]: the live-object record, the fit result and the event
+   stream, plus their printers. Kept in their own module so [Heap],
+   [Heap_ref], [Free_index] and [Free_index_ref] can share them without
+   a dependency cycle. *)
 
 type obj = { oid : Oid.t; addr : int; size : int }
 
 type fit = Gap of int | Tail of int
-(* [Free_index] fit result, shared so the dispatcher can pass backend
-   results through without re-wrapping. *)
 
 type event =
   | Alloc of obj
@@ -15,7 +14,7 @@ type event =
   | Move of { oid : Oid.t; size : int; src : int; dst : int }
 
 let pp_obj ppf (o : obj) =
-  Fmt.pf ppf "%a@[%d,%d)" Oid.pp o.oid o.addr (o.addr + o.size)
+  Fmt.pf ppf "%a@@[%d,%d)" Oid.pp o.oid o.addr (o.addr + o.size)
 
 let pp_event ppf = function
   | Alloc o -> Fmt.pf ppf "alloc %a" pp_obj o

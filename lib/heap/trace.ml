@@ -83,7 +83,8 @@ let iter t f =
    raised by heap-event listeners (oracles, budgets) propagate. *)
 exception Reject of string
 
-let replay_onto t heap =
+let replay_onto (type h) (module H : Heap_intf.HEAP with type t = h) t
+    (heap : h) =
   let map : (int, Oid.t) Hashtbl.t = Hashtbl.create 256 in
   let reject seq fmt =
     Fmt.kstr (fun s -> raise (Reject (Fmt.str "event %d: %s" seq s))) fmt
@@ -99,25 +100,27 @@ let replay_onto t heap =
         | Heap.Alloc o -> (
             if Hashtbl.mem map (Oid.to_int o.oid) then
               reject seq "duplicate allocation of oid %d" (Oid.to_int o.oid);
-            match Heap.alloc heap ~addr:o.addr ~size:o.size with
+            match H.alloc heap ~addr:o.addr ~size:o.size with
             | oid -> Hashtbl.replace map (Oid.to_int o.oid) oid
             | exception Invalid_argument msg -> reject seq "%s" msg)
         | Heap.Free o -> (
             let oid = lookup seq o.oid in
-            match Heap.free heap oid with
+            match H.free heap oid with
             | () -> Hashtbl.remove map (Oid.to_int o.oid)
             | exception Invalid_argument msg -> reject seq "%s" msg)
         | Heap.Move m -> (
             let oid = lookup seq m.oid in
-            match Heap.move heap oid ~dst:m.dst with
+            match H.move heap oid ~dst:m.dst with
             | () -> ()
             | exception Invalid_argument msg -> reject seq "%s" msg));
     Ok ()
   with Reject msg -> Error msg
 
-let replay ?backend t =
-  let heap = Heap.create ?backend () in
-  match replay_onto t heap with Ok () -> Ok heap | Error msg -> Error msg
+let replay t =
+  let heap = Heap.create () in
+  match replay_onto (module Heap) t heap with
+  | Ok () -> Ok heap
+  | Error msg -> Error msg
 
 let pp_entry ppf { seq; event } = Fmt.pf ppf "%6d %a" seq Heap.pp_event event
 let pp ppf t = Fmt.(list ~sep:(any "@\n") pp_entry) ppf (entries t)

@@ -23,10 +23,9 @@ val entries : t -> entry list
 
 val iter : t -> (entry -> unit) -> unit
 
-val replay : ?backend:Backend.t -> t -> (Heap.t, string) result
-(** Re-execute the trace on a fresh heap of the chosen substrate
-    (default {!Backend.default}). Trace-side oids are remapped to the
-    replay heap's oids, so the trace need not be oid-dense: dropping
+val replay : t -> (Heap.t, string) result
+(** Re-execute the trace on a fresh heap. Trace-side oids are remapped
+    to the replay heap's oids, so the trace need not be oid-dense: dropping
     events from a recorded trace leaves it replayable as long as no
     surviving event refers to a dropped allocation. [Error] reports
     the first event the heap rejects (unknown or duplicate oid,
@@ -34,9 +33,12 @@ val replay : ?backend:Backend.t -> t -> (Heap.t, string) result
     not a crash. Exceptions raised by heap-event listeners attached to
     the replay heap (oracles, budgets) propagate unchanged. *)
 
-val replay_onto : t -> Heap.t -> (unit, string) result
-(** {!replay} onto a caller-supplied (fresh) heap — the caller can
-    attach listeners (e.g. an audit oracle) before replaying. *)
+val replay_onto :
+  (module Heap_intf.HEAP with type t = 'h) -> t -> 'h -> (unit, string) result
+(** {!replay} onto a caller-supplied (fresh) heap of either
+    implementation — the kernel [(module Heap)] or the reference
+    [(module Heap_ref)]. The caller can attach listeners (e.g. an audit
+    oracle) before replaying. *)
 
 val to_string : t -> string
 val of_string : string -> t

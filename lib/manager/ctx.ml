@@ -11,9 +11,6 @@ open Pc_heap
 
 type t = {
   heap : Heap.t;
-  free : Free_index.t; (* Heap.free_index heap, cached: managers query
-                          it on every placement decision and the
-                          dispatch wrapper should be built only once *)
   budget : Budget.t;
   live_bound : int;
   (* Generation-stamped scratch for planners (Evict's window dedup):
@@ -31,10 +28,10 @@ module T = Pc_telemetry
 let recharge_words_c = T.Registry.counter "manager.budget_recharge_words"
 let compacted_words_c = T.Registry.counter "manager.compacted_words"
 
-let create ?backend ?budget ~live_bound () =
+let create ?budget ~live_bound () =
   if live_bound <= 0 then invalid_arg "Ctx.create: non-positive live bound";
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  let heap = Heap.create ?backend () in
+  let heap = Heap.create () in
   Heap.on_event heap (function
     | Heap.Alloc o ->
         Budget.on_alloc budget o.size;
@@ -45,7 +42,6 @@ let create ?backend ?budget ~live_bound () =
     | Heap.Free _ -> ());
   {
     heap;
-    free = Heap.free_index heap;
     budget;
     live_bound;
     scratch = [||];
@@ -55,4 +51,4 @@ let create ?backend ?budget ~live_bound () =
 let heap t = t.heap
 let budget t = t.budget
 let live_bound t = t.live_bound
-let free_index t = t.free
+let free_index t = Heap.free_index t.heap

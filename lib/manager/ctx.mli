@@ -8,7 +8,6 @@
 
 type t = {
   heap : Pc_heap.Heap.t;
-  free : Pc_heap.Free_index.t;  (** [Heap.free_index heap], cached *)
   budget : Pc_heap.Budget.t;
   live_bound : int;  (** the paper's [M], in words *)
   mutable scratch : int array;
@@ -17,15 +16,9 @@ type t = {
   mutable scratch_gen : int;
 }
 
-val create :
-  ?backend:Pc_heap.Backend.t ->
-  ?budget:Pc_heap.Budget.t ->
-  live_bound:int ->
-  unit ->
-  t
+val create : ?budget:Pc_heap.Budget.t -> live_bound:int -> unit -> t
 (** Fresh heap with budget listeners installed. [budget] defaults to
-    {!Pc_heap.Budget.unlimited}; [backend] to
-    {!Pc_heap.Backend.default}. *)
+    {!Pc_heap.Budget.unlimited}. *)
 
 val heap : t -> Pc_heap.Heap.t
 val budget : t -> Pc_heap.Budget.t

@@ -10,9 +10,11 @@ open Pc_adversary
      fixture, under the enforced c-partial budget;
    - budget-rule compliance cross-checked by the oracle layer at
      [Full] level (any violation triages a repro bundle and raises);
-   - determinism across the two heap backends: bit-identical outcomes;
-   - replay fidelity: the recorded trace replays onto both backends to
-     the same final heap.
+   - kernel vs reference: the run's recorded trace, stepped onto a
+     fresh kernel heap and a fresh reference heap in lockstep, agrees
+     event by event and reproduces the outcome;
+   - replay fidelity: the recorded trace replays onto both the kernel
+     and the reference to the same final heap.
 
    The meta suite pins the registry listing itself: the generated
    battery keys must equal [Registry.keys ()] exactly (completeness: a
@@ -28,8 +30,8 @@ let churn_program ~seed =
     ~dist:(Random_workload.Pow2 { lo_log = 0; hi_log = 5 })
     ~target_live:512 ()
 
-let run ?backend ?(audit = Pc_audit.Oracle.Off) (e : Registry.entry) seed =
-  Runner.run ?backend ~c ~audit
+let run ?(audit = Pc_audit.Oracle.Off) (e : Registry.entry) seed =
+  Runner.run ~c ~audit
     ~failures_dir:(Helpers.fresh_dir ())
     ~program:(churn_program ~seed)
     ~manager:(e.construct ()) ()
@@ -58,13 +60,18 @@ let test_oracle_audit (e : Registry.entry) () =
   Alcotest.(check bool) (e.key ^ " audited run compliant") true o.compliant
 
 let test_backend_determinism (e : Registry.entry) () =
-  let oi = run ~backend:Backend.Imperative e Helpers.churn_seed in
-  let orf = run ~backend:Backend.Reference e Helpers.churn_seed in
-  Alcotest.check Helpers.outcome (e.key ^ " backends agree") oi orf
+  let o, trace =
+    Helpers.recorded_run ~c ~failures_dir:(Helpers.fresh_dir ())
+      ~program:(churn_program ~seed:Helpers.churn_seed)
+      e.key
+  in
+  Alcotest.check Helpers.outcome (e.key ^ " recording leaves the run alone")
+    (run e Helpers.churn_seed) o;
+  Helpers.check_replayed ~what:e.key o (Helpers.lockstep ~what:e.key trace)
 
 (* Drive the churn by hand with a trace recorder attached, then replay
-   the trace onto each backend: the final heaps must agree with the
-   original run word for word. *)
+   the trace onto the kernel and onto the reference: the final heaps
+   must agree with the original run word for word. *)
 let test_trace_replay (e : Registry.entry) () =
   let program = churn_program ~seed:Helpers.churn_seed in
   let budget = Budget.create ~c in
@@ -75,22 +82,25 @@ let test_trace_replay (e : Registry.entry) () =
   let driver = Driver.create ctx (e.construct ()) in
   Program.run program driver;
   Heap.check_invariants heap;
-  List.iter
-    (fun backend ->
-      match Trace.replay ~backend trace with
-      | Error msg -> Alcotest.failf "%s: replay rejected: %s" e.key msg
-      | Ok r ->
-          Heap.check_invariants r;
-          Alcotest.(check int)
-            (Fmt.str "%s: replayed HS (%a)" e.key Backend.pp backend)
-            (Heap.high_water heap) (Heap.high_water r);
-          Alcotest.(check int)
-            (Fmt.str "%s: replayed live words (%a)" e.key Backend.pp backend)
-            (Heap.live_words heap) (Heap.live_words r);
-          Alcotest.(check int)
-            (Fmt.str "%s: replayed moved words (%a)" e.key Backend.pp backend)
-            (Heap.moved_total heap) (Heap.moved_total r))
-    [ Backend.Imperative; Backend.Reference ]
+  let check (type h) name (module H : Heap_intf.HEAP with type t = h) =
+    let r = H.create () in
+    match Trace.replay_onto (module H) trace r with
+    | Error msg ->
+        Alcotest.failf "%s: replay onto %s rejected: %s" e.key name msg
+    | Ok () ->
+        H.check_invariants r;
+        Alcotest.(check int)
+          (Fmt.str "%s: replayed HS (%s)" e.key name)
+          (Heap.high_water heap) (H.high_water r);
+        Alcotest.(check int)
+          (Fmt.str "%s: replayed live words (%s)" e.key name)
+          (Heap.live_words heap) (H.live_words r);
+        Alcotest.(check int)
+          (Fmt.str "%s: replayed moved words (%s)" e.key name)
+          (Heap.moved_total heap) (H.moved_total r)
+  in
+  check "kernel" (module Heap);
+  check "reference" (module Heap_ref)
 
 let battery (e : Registry.entry) =
   ( e.key,

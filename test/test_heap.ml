@@ -2,265 +2,282 @@ open Pc_heap
 
 let check_int = Alcotest.(check int)
 
-let test_alloc_free_basics backend () =
-  let h = Heap.create ~backend () in
-  let a = Heap.alloc h ~addr:0 ~size:10 in
-  let b = Heap.alloc h ~addr:20 ~size:5 in
-  check_int "live words" 15 (Heap.live_words h);
-  check_int "live objects" 2 (Heap.live_objects h);
-  check_int "allocated total" 15 (Heap.allocated_total h);
-  check_int "high water" 25 (Heap.high_water h);
-  check_int "addr a" 0 (Heap.addr h a);
-  check_int "size b" 5 (Heap.size h b);
-  Heap.free h a;
-  check_int "live after free" 5 (Heap.live_words h);
-  check_int "freed total" 10 (Heap.freed_total h);
-  check_int "high water sticky" 25 (Heap.high_water h);
-  Heap.check_invariants h
+(* Every case runs unchanged over the kernel ([Heap]) and the
+   reference ([Heap_ref]). *)
+module Cases (H : Heap_intf.HEAP) = struct
+  let test_alloc_free_basics () =
+    let h = H.create () in
+    let a = H.alloc h ~addr:0 ~size:10 in
+    let b = H.alloc h ~addr:20 ~size:5 in
+    check_int "live words" 15 (H.live_words h);
+    check_int "live objects" 2 (H.live_objects h);
+    check_int "allocated total" 15 (H.allocated_total h);
+    check_int "high water" 25 (H.high_water h);
+    check_int "addr a" 0 (H.addr h a);
+    check_int "size b" 5 (H.size h b);
+    H.free h a;
+    check_int "live after free" 5 (H.live_words h);
+    check_int "freed total" 10 (H.freed_total h);
+    check_int "high water sticky" 25 (H.high_water h);
+    H.check_invariants h
 
-let test_overlap_rejected backend () =
-  let h = Heap.create ~backend () in
-  ignore (Heap.alloc h ~addr:0 ~size:10 : Oid.t);
-  Alcotest.check_raises "overlap"
-    (Invalid_argument "Free_index.occupy: extent not free") (fun () ->
-      ignore (Heap.alloc h ~addr:5 ~size:10 : Oid.t));
-  Alcotest.check_raises "bad size" (Invalid_argument "Heap.alloc: non-positive size")
-    (fun () -> ignore (Heap.alloc h ~addr:50 ~size:0 : Oid.t))
+  let test_overlap_rejected () =
+    let h = H.create () in
+    ignore (H.alloc h ~addr:0 ~size:10 : Oid.t);
+    Alcotest.check_raises "overlap"
+      (Invalid_argument "Free_index.occupy: extent not free") (fun () ->
+        ignore (H.alloc h ~addr:5 ~size:10 : Oid.t));
+    Alcotest.check_raises "bad size"
+      (Invalid_argument "Heap.alloc: non-positive size")
+      (fun () -> ignore (H.alloc h ~addr:50 ~size:0 : Oid.t))
 
-let test_double_free_rejected backend () =
-  let h = Heap.create ~backend () in
-  let a = Heap.alloc h ~addr:0 ~size:4 in
-  Heap.free h a;
-  Alcotest.check_raises "double free"
-    (Invalid_argument "Heap.get: unknown or dead object") (fun () ->
-      Heap.free h a)
+  let test_double_free_rejected () =
+    let h = H.create () in
+    let a = H.alloc h ~addr:0 ~size:4 in
+    H.free h a;
+    Alcotest.check_raises "double free"
+      (Invalid_argument "Heap.get: unknown or dead object") (fun () ->
+        H.free h a)
 
-let test_move backend () =
-  let h = Heap.create ~backend () in
-  let a = Heap.alloc h ~addr:0 ~size:8 in
-  let _b = Heap.alloc h ~addr:8 ~size:8 in
-  Heap.move h a ~dst:32;
-  check_int "moved addr" 32 (Heap.addr h a);
-  check_int "moved total" 8 (Heap.moved_total h);
-  check_int "hwm follows move" 40 (Heap.high_water h);
-  check_int "live unchanged" 16 (Heap.live_words h);
-  Heap.check_invariants h;
-  (* moving onto an occupied extent must fail and roll back *)
-  Alcotest.check_raises "move onto occupied"
-    (Invalid_argument "Free_index.occupy: extent not free") (fun () ->
-      Heap.move h a ~dst:8);
-  check_int "rollback kept address" 32 (Heap.addr h a);
-  Heap.check_invariants h
+  let test_move () =
+    let h = H.create () in
+    let a = H.alloc h ~addr:0 ~size:8 in
+    let _b = H.alloc h ~addr:8 ~size:8 in
+    H.move h a ~dst:32;
+    check_int "moved addr" 32 (H.addr h a);
+    check_int "moved total" 8 (H.moved_total h);
+    check_int "hwm follows move" 40 (H.high_water h);
+    check_int "live unchanged" 16 (H.live_words h);
+    H.check_invariants h;
+    (* moving onto an occupied extent must fail and roll back *)
+    Alcotest.check_raises "move onto occupied"
+      (Invalid_argument "Free_index.occupy: extent not free") (fun () ->
+        H.move h a ~dst:8);
+    check_int "rollback kept address" 32 (H.addr h a);
+    H.check_invariants h
 
-let test_sliding_move backend () =
-  let h = Heap.create ~backend () in
-  let a = Heap.alloc h ~addr:10 ~size:8 in
-  (* overlapping slide down: [10,18) -> [6,14) *)
-  Heap.move h a ~dst:6;
-  check_int "slid" 6 (Heap.addr h a);
-  check_int "moved total" 8 (Heap.moved_total h);
-  Heap.check_invariants h
+  let test_sliding_move () =
+    let h = H.create () in
+    let a = H.alloc h ~addr:10 ~size:8 in
+    (* overlapping slide down: [10,18) -> [6,14) *)
+    H.move h a ~dst:6;
+    check_int "slid" 6 (H.addr h a);
+    check_int "moved total" 8 (H.moved_total h);
+    H.check_invariants h
 
-let test_move_noop backend () =
-  let h = Heap.create ~backend () in
-  let a = Heap.alloc h ~addr:4 ~size:4 in
-  Heap.move h a ~dst:4;
-  check_int "noop move costs nothing" 0 (Heap.moved_total h)
+  let test_move_noop () =
+    let h = H.create () in
+    let a = H.alloc h ~addr:4 ~size:4 in
+    H.move h a ~dst:4;
+    check_int "noop move costs nothing" 0 (H.moved_total h)
 
-let test_objects_in backend () =
-  let h = Heap.create ~backend () in
-  let _a = Heap.alloc h ~addr:0 ~size:10 in
-  let _b = Heap.alloc h ~addr:16 ~size:8 in
-  let _c = Heap.alloc h ~addr:30 ~size:4 in
-  let names objs = List.map (fun (o : Heap.obj) -> o.addr) objs in
-  Alcotest.(check (list int)) "straddler included" [ 0; 16 ]
-    (names (Heap.objects_in h ~start:5 ~stop:20));
-  Alcotest.(check (list int)) "exact range" [ 16 ]
-    (names (Heap.objects_in h ~start:16 ~stop:24));
-  Alcotest.(check (list int)) "empty range" []
-    (names (Heap.objects_in h ~start:10 ~stop:16));
-  check_int "occupied words straddle" 9
-    (Heap.occupied_words_in h ~start:5 ~stop:20);
-  check_int "occupied words all" 22 (Heap.occupied_words_in h ~start:0 ~stop:40)
+  let test_objects_in () =
+    let h = H.create () in
+    let _a = H.alloc h ~addr:0 ~size:10 in
+    let _b = H.alloc h ~addr:16 ~size:8 in
+    let _c = H.alloc h ~addr:30 ~size:4 in
+    let names objs = List.map (fun (o : H.obj) -> o.addr) objs in
+    Alcotest.(check (list int)) "straddler included" [ 0; 16 ]
+      (names (H.objects_in h ~start:5 ~stop:20));
+    Alcotest.(check (list int)) "exact range" [ 16 ]
+      (names (H.objects_in h ~start:16 ~stop:24));
+    Alcotest.(check (list int)) "empty range" []
+      (names (H.objects_in h ~start:10 ~stop:16));
+    check_int "occupied words straddle" 9
+      (H.occupied_words_in h ~start:5 ~stop:20);
+    check_int "occupied words all" 22 (H.occupied_words_in h ~start:0 ~stop:40)
 
-let test_events backend () =
-  let h = Heap.create ~backend () in
-  let log = ref [] in
-  Heap.on_event h (fun e -> log := e :: !log);
-  let a = Heap.alloc h ~addr:0 ~size:4 in
-  Heap.move h a ~dst:8;
-  Heap.free h a;
-  match List.rev !log with
-  | [ Heap.Alloc o1; Heap.Move m; Heap.Free o2 ] ->
-      check_int "alloc addr" 0 o1.addr;
-      check_int "move src" 0 m.src;
-      check_int "move dst" 8 m.dst;
-      check_int "free addr" 8 o2.addr
-  | evs -> Alcotest.failf "unexpected event sequence (%d events)" (List.length evs)
+  let test_events () =
+    let h = H.create () in
+    let log = ref [] in
+    H.on_event h (fun e -> log := e :: !log);
+    let a = H.alloc h ~addr:0 ~size:4 in
+    H.move h a ~dst:8;
+    H.free h a;
+    match List.rev !log with
+    | [ H.Alloc o1; H.Move m; H.Free o2 ] ->
+        check_int "alloc addr" 0 o1.addr;
+        check_int "move src" 0 m.src;
+        check_int "move dst" 8 m.dst;
+        check_int "free addr" 8 o2.addr
+    | evs ->
+        Alcotest.failf "unexpected event sequence (%d events)" (List.length evs)
 
-(* Random operation scripts preserve every heap invariant, and the
-   recorded trace replays to an identical heap. *)
-let prop_random_ops_invariants backend =
-  QCheck.Test.make
-    ~name:
-      (Fmt.str "random ops: invariants hold and trace replays [%a]" Backend.pp
-         backend)
-    ~count:40
-    QCheck.(pair (int_bound 100_000) (int_range 10 200))
-    (fun (seed, steps) ->
-      let st = Random.State.make [| seed |] in
-      let h = Heap.create ~backend () in
-      let trace = Trace.create () in
-      Trace.record trace h;
-      let live = ref [] in
-      for _ = 1 to steps do
-        match Random.State.int st 4 with
-        | 0 | 1 ->
-            let size = 1 + Random.State.int st 16 in
-            let addr = Random.State.int st 256 in
-            if Heap.is_free h ~addr ~size then
-              live := Heap.alloc h ~addr ~size :: !live
-        | 2 -> (
-            match !live with
-            | [] -> ()
-            | oid :: rest ->
-                Heap.free h oid;
-                live := rest)
-        | _ -> (
-            match !live with
-            | [] -> ()
-            | oid :: _ ->
-                let size = Heap.size h oid in
-                let dst = Random.State.int st 256 in
-                let cur = Heap.addr h oid in
-                if
-                  dst <> cur
-                  && (dst + size <= cur || dst >= cur + size)
-                  && Heap.is_free h ~addr:dst ~size
-                then Heap.move h oid ~dst)
-      done;
-      Heap.check_invariants h;
-      let replayed =
-        match Trace.replay trace with
-        | Ok r -> r
-        | Error msg -> QCheck.Test.fail_reportf "replay rejected: %s" msg
-      in
-      Heap.check_invariants replayed;
-      Heap.high_water replayed = Heap.high_water h
-      && Heap.live_words replayed = Heap.live_words h
-      && Heap.moved_total replayed = Heap.moved_total h
-      && List.for_all
-           (fun oid ->
-             Heap.addr replayed oid = Heap.addr h oid
-             && Heap.size replayed oid = Heap.size h oid)
-           !live)
+  (* Random operation scripts preserve every heap invariant, and the
+     recorded trace replays to an identical heap. *)
+  let prop_random_ops_invariants name =
+    QCheck.Test.make
+      ~name:
+        (Fmt.str "random ops: invariants hold and trace replays [%s]" name)
+      ~count:40
+      QCheck.(pair (int_bound 100_000) (int_range 10 200))
+      (fun (seed, steps) ->
+        let st = Random.State.make [| seed |] in
+        let h = H.create () in
+        let events = ref [] in
+        H.on_event h (fun e -> events := e :: !events);
+        let live = ref [] in
+        for _ = 1 to steps do
+          match Random.State.int st 4 with
+          | 0 | 1 ->
+              let size = 1 + Random.State.int st 16 in
+              let addr = Random.State.int st 256 in
+              if H.is_free h ~addr ~size then
+                live := H.alloc h ~addr ~size :: !live
+          | 2 -> (
+              match !live with
+              | [] -> ()
+              | oid :: rest ->
+                  H.free h oid;
+                  live := rest)
+          | _ -> (
+              match !live with
+              | [] -> ()
+              | oid :: _ ->
+                  let size = H.size h oid in
+                  let dst = Random.State.int st 256 in
+                  let cur = H.addr h oid in
+                  if
+                    dst <> cur
+                    && (dst + size <= cur || dst >= cur + size)
+                    && H.is_free h ~addr:dst ~size
+                  then H.move h oid ~dst)
+        done;
+        H.check_invariants h;
+        let replayed = H.create () in
+        (match
+           Trace.replay_onto (module H) (Trace.of_events (List.rev !events))
+             replayed
+         with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_reportf "replay rejected: %s" msg);
+        H.check_invariants replayed;
+        H.high_water replayed = H.high_water h
+        && H.live_words replayed = H.live_words h
+        && H.moved_total replayed = H.moved_total h
+        && List.for_all
+             (fun oid ->
+               H.addr replayed oid = H.addr h oid
+               && H.size replayed oid = H.size h oid)
+             !live)
 
-(* occupied_words_in agrees with a per-word brute force count. *)
-let prop_occupied_words backend =
-  QCheck.Test.make
-    ~name:(Fmt.str "occupied_words_in matches brute force [%a]" Backend.pp backend)
-    ~count:40
-    QCheck.(triple (int_bound 100_000) (int_bound 200) (int_range 1 60))
-    (fun (seed, start, len) ->
-      let st = Random.State.make [| seed |] in
-      let h = Heap.create ~backend () in
-      for _ = 1 to 30 do
-        let size = 1 + Random.State.int st 12 in
-        let addr = Random.State.int st 200 in
-        if Heap.is_free h ~addr ~size then
-          ignore (Heap.alloc h ~addr ~size : Oid.t)
-      done;
-      let brute = ref 0 in
-      for w = start to start + len - 1 do
-        if not (Heap.is_free h ~addr:w ~size:1) then incr brute
-      done;
-      Heap.occupied_words_in h ~start ~stop:(start + len) = !brute)
+  (* occupied_words_in agrees with a per-word brute force count. *)
+  let prop_occupied_words name =
+    QCheck.Test.make
+      ~name:(Fmt.str "occupied_words_in matches brute force [%s]" name)
+      ~count:40
+      QCheck.(triple (int_bound 100_000) (int_bound 200) (int_range 1 60))
+      (fun (seed, start, len) ->
+        let st = Random.State.make [| seed |] in
+        let h = H.create () in
+        for _ = 1 to 30 do
+          let size = 1 + Random.State.int st 12 in
+          let addr = Random.State.int st 200 in
+          if H.is_free h ~addr ~size then
+            ignore (H.alloc h ~addr ~size : Oid.t)
+        done;
+        let brute = ref 0 in
+        for w = start to start + len - 1 do
+          if not (H.is_free h ~addr:w ~size:1) then incr brute
+        done;
+        H.occupied_words_in h ~start ~stop:(start + len) = !brute)
 
-(* The fast range queries (a straight fold over the address map) agree
-   with a naive O(live) scan of the full live list, across randomised
-   alloc/free/move sequences and arbitrary query windows. Guards the
-   fold-based fast paths behind eviction cost estimates. *)
-let prop_range_queries_vs_naive backend =
-  QCheck.Test.make
-    ~name:
-      (Fmt.str "objects_in/occupied_words_in = naive O(live) reference [%a]"
-         Backend.pp backend)
-    ~count:60
-    QCheck.(triple (int_bound 100_000) (int_range 20 250) (int_range 1 80))
-    (fun (seed, steps, qlen) ->
-      let st = Random.State.make [| seed |] in
-      let h = Heap.create ~backend () in
-      let live = ref [] in
-      for _ = 1 to steps do
-        match Random.State.int st 4 with
-        | 0 | 1 ->
-            let size = 1 + Random.State.int st 16 in
-            let addr = Random.State.int st 300 in
-            if Heap.is_free h ~addr ~size then
-              live := Heap.alloc h ~addr ~size :: !live
-        | 2 -> (
-            match !live with
-            | [] -> ()
-            | oid :: rest ->
-                Heap.free h oid;
-                live := rest)
-        | _ -> (
-            match !live with
-            | [] -> ()
-            | oid :: _ ->
-                let size = Heap.size h oid in
-                let cur = Heap.addr h oid in
-                let dst = Random.State.int st 300 in
-                if
-                  dst <> cur
-                  && (dst + size <= cur || dst >= cur + size)
-                  && Heap.is_free h ~addr:dst ~size
-                then Heap.move h oid ~dst)
-      done;
-      let start = Random.State.int st 320 in
-      let stop = start + qlen in
-      (* Naive reference: scan every live object. *)
-      let naive_objs =
-        List.filter
-          (fun (o : Heap.obj) -> o.addr < stop && o.addr + o.size > start)
-          (Heap.live_list h)
-      in
-      let naive_words =
-        List.fold_left
-          (fun acc (o : Heap.obj) ->
-            acc + (min stop (o.addr + o.size) - max start o.addr))
-          0 naive_objs
-      in
-      Heap.objects_in h ~start ~stop = naive_objs
-      && Heap.occupied_words_in h ~start ~stop = naive_words
-      && Heap.fold_objects_in h ~start ~stop ~init:0 ~f:(fun n _ -> n + 1)
-         = List.length naive_objs)
+  (* The fast range queries (a straight fold over the address map) agree
+     with a naive O(live) scan of the full live list, across randomised
+     alloc/free/move sequences and arbitrary query windows. Guards the
+     fold-based fast paths behind eviction cost estimates. *)
+  let prop_range_queries_vs_naive name =
+    QCheck.Test.make
+      ~name:
+        (Fmt.str "objects_in/occupied_words_in = naive O(live) reference [%s]"
+           name)
+      ~count:60
+      QCheck.(triple (int_bound 100_000) (int_range 20 250) (int_range 1 80))
+      (fun (seed, steps, qlen) ->
+        let st = Random.State.make [| seed |] in
+        let h = H.create () in
+        let live = ref [] in
+        for _ = 1 to steps do
+          match Random.State.int st 4 with
+          | 0 | 1 ->
+              let size = 1 + Random.State.int st 16 in
+              let addr = Random.State.int st 300 in
+              if H.is_free h ~addr ~size then
+                live := H.alloc h ~addr ~size :: !live
+          | 2 -> (
+              match !live with
+              | [] -> ()
+              | oid :: rest ->
+                  H.free h oid;
+                  live := rest)
+          | _ -> (
+              match !live with
+              | [] -> ()
+              | oid :: _ ->
+                  let size = H.size h oid in
+                  let cur = H.addr h oid in
+                  let dst = Random.State.int st 300 in
+                  if
+                    dst <> cur
+                    && (dst + size <= cur || dst >= cur + size)
+                    && H.is_free h ~addr:dst ~size
+                  then H.move h oid ~dst)
+        done;
+        let start = Random.State.int st 320 in
+        let stop = start + qlen in
+        (* Naive reference: scan every live object. *)
+        let naive_objs =
+          List.filter
+            (fun (o : H.obj) -> o.addr < stop && o.addr + o.size > start)
+            (H.live_list h)
+        in
+        let naive_words =
+          List.fold_left
+            (fun acc (o : H.obj) ->
+              acc + (min stop (o.addr + o.size) - max start o.addr))
+            0 naive_objs
+        in
+        H.objects_in h ~start ~stop = naive_objs
+        && H.occupied_words_in h ~start ~stop = naive_words
+        && H.fold_objects_in h ~start ~stop ~init:0 ~f:(fun n _ -> n + 1)
+           = List.length naive_objs)
+end
 
-let suite backend =
-  let name fmt = Fmt.str fmt Backend.pp backend in
+let suite name (module H : Heap_intf.HEAP) =
+  let module C = Cases (H) in
   [
-    ( name "unit [%a]",
+    ( Fmt.str "unit [%s]" name,
       [
-        Alcotest.test_case "alloc/free basics" `Quick
-          (test_alloc_free_basics backend);
-        Alcotest.test_case "overlap rejected" `Quick
-          (test_overlap_rejected backend);
+        Alcotest.test_case "alloc/free basics" `Quick C.test_alloc_free_basics;
+        Alcotest.test_case "overlap rejected" `Quick C.test_overlap_rejected;
         Alcotest.test_case "double free rejected" `Quick
-          (test_double_free_rejected backend);
-        Alcotest.test_case "move" `Quick (test_move backend);
-        Alcotest.test_case "sliding move" `Quick (test_sliding_move backend);
-        Alcotest.test_case "noop move" `Quick (test_move_noop backend);
-        Alcotest.test_case "objects_in" `Quick (test_objects_in backend);
-        Alcotest.test_case "events" `Quick (test_events backend);
+          C.test_double_free_rejected;
+        Alcotest.test_case "move" `Quick C.test_move;
+        Alcotest.test_case "sliding move" `Quick C.test_sliding_move;
+        Alcotest.test_case "noop move" `Quick C.test_move_noop;
+        Alcotest.test_case "objects_in" `Quick C.test_objects_in;
+        Alcotest.test_case "events" `Quick C.test_events;
       ] );
-    ( name "properties [%a]",
+    ( Fmt.str "properties [%s]" name,
       List.map QCheck_alcotest.to_alcotest
         [
-          prop_random_ops_invariants backend;
-          prop_occupied_words backend;
-          prop_range_queries_vs_naive backend;
+          C.prop_random_ops_invariants name;
+          C.prop_occupied_words name;
+          C.prop_range_queries_vs_naive name;
         ] );
   ]
 
+(* The shared event printer: the object's extent follows the oid as a
+   literal "@[start,stop)". *)
+let test_pp_event () =
+  let o = { Heap.oid = Oid.of_int 43; addr = 4509; size = 4 } in
+  Alcotest.(check string) "alloc" "alloc #43@[4509,4513)"
+    (Fmt.str "%a" Heap.pp_event (Heap.Alloc o));
+  Alcotest.(check string) "free" "free #43@[4509,4513)"
+    (Fmt.str "%a" Heap.pp_event (Heap.Free o))
+
 let () =
-  Alcotest.run "heap" (suite Backend.Imperative @ suite Backend.Reference)
+  Alcotest.run "heap"
+    (suite "imperative" (module Heap)
+    @ suite "reference" (module Heap_ref)
+    @ [ ("printer", [ Alcotest.test_case "pp_event" `Quick test_pp_event ]) ])
