@@ -3,8 +3,7 @@
    level has one bit per word below, set iff that word is non-empty.
    Membership updates and ordered neighbour queries (succ/pred) run in
    O(levels) = O(log32 cap) word operations with no allocation, which
-   is what makes the imperative heap substrate allocation-free on its
-   hot paths. *)
+   is what makes the heap kernel allocation-free on its hot paths. *)
 
 type t = {
   mutable nlevels : int;

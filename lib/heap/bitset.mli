@@ -2,8 +2,8 @@
 
     Membership updates and ordered neighbour queries run in
     O(log32 cap) word operations without allocating, which is what the
-    imperative heap substrate leans on for its hot paths. Capacity
-    grows on demand in [add]/[ensure]. *)
+    heap kernel leans on for its hot paths. Capacity grows on demand
+    in [add]/[ensure]. *)
 
 type t
 
