@@ -27,7 +27,11 @@ type t = {
   ell : int; (* density exponent: target density 2^-ell *)
   mutable chunk_log : int; (* current chunk size is 2^chunk_log *)
   mutable chunks : (int, chunk) Hashtbl.t; (* chunk index -> state *)
-  locs : (int, int list) Hashtbl.t; (* oid as int -> chunk indices *)
+  (* Oids are dense sequential ints and [locs] is only ever looked up
+     by key, so arrays indexed by oid serve. *)
+  mutable locs : int list array; (* oid -> chunk indices *)
+  mutable mark : int array; (* oid -> [merge_step]'s per-chunk stamp *)
+  mutable mark_gen : int;
 }
 
 let create ~chunk_log ~ell =
@@ -36,7 +40,9 @@ let create ~chunk_log ~ell =
     ell;
     chunk_log;
     chunks = Hashtbl.create 256;
-    locs = Hashtbl.create 256;
+    locs = Array.make 256 [];
+    mark = Array.make 256 0;
+    mark_gen = 0;
   }
 
 let chunk_log t = t.chunk_log
@@ -61,19 +67,26 @@ let is_middle t idx =
   match find_chunk t idx with Some ch -> ch.middle | None -> false
 
 let locs_of t oid =
-  Option.value ~default:[] (Hashtbl.find_opt t.locs (Oid.to_int oid))
+  let i = Oid.to_int oid in
+  if i < Array.length t.locs then t.locs.(i) else []
 
 let add_loc t oid idx =
-  Hashtbl.replace t.locs (Oid.to_int oid) (idx :: locs_of t oid)
+  let i = Oid.to_int oid in
+  let n = Array.length t.locs in
+  if i >= n then begin
+    let n' = max (2 * n) (i + 1) in
+    t.locs <- Array.append t.locs (Array.make (n' - n) []);
+    t.mark <- Array.append t.mark (Array.make (n' - n) 0)
+  end;
+  t.locs.(i) <- idx :: t.locs.(i)
 
 let remove_loc t oid idx =
   let rec remove_once = function
     | [] -> []
     | x :: rest -> if x = idx then rest else x :: remove_once rest
   in
-  match remove_once (locs_of t oid) with
-  | [] -> Hashtbl.remove t.locs (Oid.to_int oid)
-  | l -> Hashtbl.replace t.locs (Oid.to_int oid) l
+  let i = Oid.to_int oid in
+  t.locs.(i) <- remove_once t.locs.(i)
 
 let add_entry t idx e =
   let ch = get_chunk t idx in
@@ -159,7 +172,6 @@ let migrate_half t ~from_idx (e : entry) =
    set E empties (Definition 4.12). *)
 let merge_step t =
   let merged = Hashtbl.create (Hashtbl.length t.chunks) in
-  let new_locs = Hashtbl.create (Hashtbl.length t.locs) in
   Hashtbl.iter
     (fun idx (ch : chunk) ->
       let nidx = idx / 2 in
@@ -177,37 +189,39 @@ let merge_step t =
           nch.sum <- nch.sum + entry_size e)
         ch.entries)
     t.chunks;
-  (* Merge half-pairs that now share a chunk. *)
+  (* Merge half-pairs that now share a chunk, and rebuild [locs] from
+     the merged entries. *)
+  Array.fill t.locs 0 (Array.length t.locs) [];
   Hashtbl.iter
     (fun nidx (nch : chunk) ->
-      (* Count the halves per oid once, then rebuild in one pass: a
-         pair's first half is dropped and its second becomes the whole
-         entry — the same list the remove-on-second-encounter fold
-         produced, without the quadratic mid-list removal. An object
-         has at most two half entries in total, so a count is a pair
-         indicator. *)
-      let halves = Hashtbl.create 8 in
+      (* Stamp each half's oid once per half seen in this chunk, then
+         rebuild in one pass: a pair's first half is dropped and its
+         second becomes the whole entry — the same list the
+         remove-on-second-encounter fold produced, without the
+         quadratic mid-list removal. An object has at most two half
+         entries in total, so stamps [one], [two] and [dropped] (its
+         first half is gone) say all there is. *)
+      let one = t.mark_gen + 1 in
+      let two = one + 1 and dropped = one + 2 in
+      t.mark_gen <- dropped;
       List.iter
         (fun (e : entry) ->
           if e.half then begin
-            let key = Oid.to_int e.oid in
-            Hashtbl.replace halves key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt halves key))
+            let i = Oid.to_int e.oid in
+            t.mark.(i) <- (if t.mark.(i) = one then two else one)
           end)
         nch.entries;
-      let seen = Hashtbl.create 8 in
       let merged_entries =
         List.fold_left
           (fun acc (e : entry) ->
             if not e.half then e :: acc
             else begin
-              let key = Oid.to_int e.oid in
-              if Hashtbl.find halves key = 2 then
-                if Hashtbl.mem seen key then { e with half = false } :: acc
-                else begin
-                  Hashtbl.add seen key ();
-                  acc
-                end
+              let i = Oid.to_int e.oid in
+              if t.mark.(i) = two then begin
+                t.mark.(i) <- dropped;
+                acc
+              end
+              else if t.mark.(i) = dropped then { e with half = false } :: acc
               else e :: acc
             end)
           [] nch.entries
@@ -216,14 +230,11 @@ let merge_step t =
       (* sums are unchanged by half-merging: two halves = one whole *)
       List.iter
         (fun e ->
-          let key = Oid.to_int e.oid in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt new_locs key) in
-          Hashtbl.replace new_locs key (nidx :: cur))
+          let i = Oid.to_int e.oid in
+          t.locs.(i) <- nidx :: t.locs.(i))
         merged_entries)
     merged;
   t.chunks <- merged;
-  Hashtbl.reset t.locs;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.locs k v) new_locs;
   t.chunk_log <- t.chunk_log + 1
 
 let chunk_indices t = Hashtbl.fold (fun idx _ acc -> idx :: acc) t.chunks []
@@ -260,7 +271,7 @@ let check_invariants t =
             failwith "Association: missing loc back-reference")
         ch.entries)
     t.chunks;
-  Hashtbl.iter
+  Array.iteri
     (fun oid idxs ->
       if List.length idxs > 2 then failwith "Association: more than 2 locs";
       List.iter

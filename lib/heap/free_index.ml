@@ -36,6 +36,7 @@ type topk = {
 
 type t = {
   mutable frontier : int;
+  mutable epoch : int; (* bumped by every mutation that can change a gap *)
   mutable nlevels : int;
   mutable cap : int; (* power of two; 32^nlevels >= cap *)
   mutable masks : int array array;
@@ -77,6 +78,7 @@ let create () =
   let cap = 1 lsl (5 * nlevels) in
   {
     frontier = 0;
+    epoch = 0;
     nlevels;
     cap;
     masks = Array.init nlevels (fun k -> Array.make (level_len cap k) 0);
@@ -92,6 +94,7 @@ let create () =
   }
 
 let frontier t = t.frontier
+let epoch t = t.epoch
 let gap_count t = t.gap_count
 let free_below_frontier t = t.free_total
 let[@inline] root_max t = t.maxl.(t.nlevels - 1).(0)
@@ -365,8 +368,12 @@ let is_free t ~addr ~len =
   else if addr + len > t.frontier then addr >= t.frontier
   else containing_gap t ~addr ~len >= 0
 
+(* [epoch] stays put only for an occupy starting exactly at the
+   frontier: pure tail growth leaves the gap set, and every word below
+   the old frontier, as they were. Anything else may change a gap. *)
 let occupy t ~addr ~len =
   if len <= 0 then invalid_arg "Free_index.occupy: non-positive length";
+  if addr <> t.frontier then t.epoch <- t.epoch + 1;
   if addr >= t.frontier then begin
     (* Carve from the tail, leaving a gap between the old frontier and
        the new allocation when they are not adjacent. *)
@@ -392,6 +399,7 @@ let release t ~addr ~len =
   if len <= 0 then invalid_arg "Free_index.release: non-positive length";
   if addr + len > t.frontier then
     invalid_arg "Free_index.release: extent beyond frontier";
+  t.epoch <- t.epoch + 1;
   let coalesce_left =
     let p = pred_start t addr in
     if p < 0 then -1

@@ -4,9 +4,10 @@
    maps start addresses back to slots, and a hierarchical bitset over
    start addresses supplies address-ordered iteration and the
    straddler lookup for range queries. alloc/free/move are O(1) plus
-   the free-index update; [fold_objects_in] is O(k log32 range) for k
-   intersecting objects. Observationally identical to the reference
-   [Heap_ref] (pinned by the differential suite).
+   the free-index update; [fold_objects_in] and [clear_cost] are
+   O(k log32 range) for k intersecting objects. Observationally
+   identical to the reference [Heap_ref] (pinned by the differential
+   suite).
 
    Memory note: [slot_of_oid] grows with the total number of
    allocations ever made (8 bytes each) and [slot_at] with the highest
@@ -32,10 +33,6 @@ type t = {
   mutable slots_used : int;
   mutable free_head : int; (* head of the dead-slot freelist, -1 none *)
   mutable slot_at : int array; (* start address -> slot, -1 none *)
-  (* Fenwick tree over [size_of] keyed by start address (1-indexed,
-     length = length slot_at + 1), so window-occupancy sums are
-     O(log m) instead of a per-object walk. *)
-  mutable fen : int array;
   starts : Bitset.t; (* live-object start addresses *)
   mutable nlive : int;
   mutable next_oid : int;
@@ -57,7 +54,6 @@ let create () =
     slots_used = 0;
     free_head = -1;
     slot_at = Array.make 1024 (-1);
-    fen = Array.make 1025 0;
     starts = Bitset.create ();
     nlive = 0;
     next_oid = 0;
@@ -113,30 +109,9 @@ let ensure_oid t oid =
   if oid >= Array.length t.slot_of_oid then
     t.slot_of_oid <- grown_copy t.slot_of_oid oid ~fill:(-1)
 
-let fen_add t a delta =
-  let n = Array.length t.fen in
-  let i = ref (a + 1) in
-  while !i < n do
-    t.fen.(!i) <- t.fen.(!i) + delta;
-    i := !i + (!i land - !i)
-  done
-
-(* Sum of [size_of] over live start addresses < [x]. *)
-let fen_prefix t x =
-  let rec go s i =
-    if i <= 0 then s
-    else go (s + Array.unsafe_get t.fen i) (i land (i - 1))
-  in
-  go 0 (min x (Array.length t.fen - 1))
-
 let ensure_addr t addr =
-  if addr >= Array.length t.slot_at then begin
-    t.slot_at <- grown_copy t.slot_at addr ~fill:(-1);
-    (* A Fenwick tree of one size does not embed in a larger one;
-       rebuild it from the live-start bitset. *)
-    t.fen <- Array.make (Array.length t.slot_at + 1) 0;
-    Bitset.iter t.starts (fun a -> fen_add t a t.size_of.(t.slot_at.(a)))
-  end
+  if addr >= Array.length t.slot_at then
+    t.slot_at <- grown_copy t.slot_at addr ~fill:(-1)
 
 let new_slot t =
   if t.free_head >= 0 then begin
@@ -196,7 +171,6 @@ let alloc t ~addr ~size =
   t.size_of.(s) <- size;
   ensure_addr t addr;
   t.slot_at.(addr) <- s;
-  fen_add t addr size;
   Bitset.add t.starts addr;
   t.nlive <- t.nlive + 1;
   t.live_words <- t.live_words + size;
@@ -222,7 +196,6 @@ let free t oid =
   t.slot_of_oid.(Oid.to_int oid) <- -1;
   release_slot t s;
   t.slot_at.(addr) <- -1;
-  fen_add t addr (-size);
   Bitset.remove t.starts addr;
   t.nlive <- t.nlive - 1;
   t.live_words <- t.live_words - size;
@@ -249,12 +222,10 @@ let move t oid ~dst =
         raise e
     end;
     t.slot_at.(src) <- -1;
-    fen_add t src (-size);
     Bitset.remove t.starts src;
     t.addr_of.(s) <- dst;
     ensure_addr t dst;
     t.slot_at.(dst) <- s;
-    fen_add t dst size;
     Bitset.add t.starts dst;
     t.moved_total <- t.moved_total + size;
     bump_high_water t (dst + size);
@@ -306,38 +277,33 @@ let fold_objects_in t ~start ~stop ~init ~f =
 let objects_in t ~start ~stop =
   List.rev (fold_objects_in t ~start ~stop ~init:[] ~f:(fun acc o -> o :: acc))
 
-(* Total size of the live objects intersecting [start, stop) —
-   straddlers count fully: the straddler from just below [start] plus
-   a Fenwick prefix-sum difference over the starts in [start, stop).
-   Exact, so the [cap] hint is not needed. *)
-let clear_cost t ~start ~stop ~cap:_ =
-  let straddler =
-    let p = Bitset.pred t.starts (start - 1) in
-    if p < 0 then 0
-    else
-      let s = t.slot_at.(p) in
-      if p + t.size_of.(s) > start then t.size_of.(s) else 0
-  in
-  straddler + fen_prefix t stop - fen_prefix t (max start 0)
-
-(* Like [fold_objects_in] but summing clipped extents straight from the
-   slot arrays, without materialising object records. *)
-let occupied_words_in t ~start ~stop =
+(* Sum [weight addr slot] over the live objects intersecting
+   [start, stop), straight from the slot arrays, without materialising
+   object records: the possible straddler from just below [start],
+   then a bitset walk of starts in [start, stop). *)
+let sum_objects_in t ~start ~stop weight =
   let total = ref 0 in
-  let clip a s = min stop (a + t.size_of.(s)) - max start a in
   let p = Bitset.pred t.starts (start - 1) in
   (if p >= 0 then begin
      let s = t.slot_at.(p) in
-     if p + t.size_of.(s) > start then total := !total + clip p s
+     if p + t.size_of.(s) > start then total := weight p s
    end);
   let rec go a =
     if a >= 0 && a < stop then begin
-      total := !total + clip a t.slot_at.(a);
+      total := !total + weight a t.slot_at.(a);
       go (Bitset.succ t.starts (a + 1))
     end
   in
   go (Bitset.succ t.starts start);
   !total
+
+(* Straddlers count fully. Exact, so the [cap] hint is not needed. *)
+let clear_cost t ~start ~stop ~cap:_ =
+  sum_objects_in t ~start ~stop (fun _ s -> t.size_of.(s))
+
+let occupied_words_in t ~start ~stop =
+  sum_objects_in t ~start ~stop (fun a s ->
+      min stop (a + t.size_of.(s)) - max start a)
 
 let check_invariants t =
   Free_index.check_invariants t.free;

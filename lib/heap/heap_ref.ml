@@ -137,8 +137,8 @@ let fold_objects_in t ~start ~stop ~init ~f =
 let objects_in t ~start ~stop =
   List.rev (fold_objects_in t ~start ~stop ~init:[] ~f:(fun acc o -> o :: acc))
 
-(* Exact total, which the kernel's Fenwick-tree sum must match bit for
-   bit; the [cap] hint is unused. *)
+(* Exact total, which the kernel's must match bit for bit; the [cap]
+   hint is unused. *)
 let clear_cost t ~start ~stop ~cap:_ =
   fold_objects_in t ~start ~stop ~init:0 ~f:(fun acc o -> acc + o.size)
 

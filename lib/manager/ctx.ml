@@ -9,6 +9,18 @@ open Pc_heap
    Budget.Exceeded when a manager over-compacts). Managers therefore
    never touch the budget except to *query* the remaining quota. *)
 
+type candidate = { window_start : int; cost : int }
+
+(* Evict's last window scan, valid while the free index's epoch, the
+   window size and the alignment are the ones it was made for. *)
+type window_scan = {
+  mutable epoch : int; (* -1 until the first scan *)
+  mutable size : int;
+  mutable align : int;
+  mutable costed : candidate list; (* below the frontier, by (cost, start) *)
+  mutable pending : int list; (* starts not yet below the frontier, ascending *)
+}
+
 type t = {
   heap : Heap.t;
   budget : Budget.t;
@@ -18,6 +30,7 @@ type t = {
      so clearing between uses is a single counter bump. *)
   mutable scratch : int array;
   mutable scratch_gen : int;
+  windows : window_scan;
 }
 
 (* Telemetry: words flowing through the budget — recharge on alloc,
@@ -46,6 +59,7 @@ let create ?budget ~live_bound () =
     live_bound;
     scratch = [||];
     scratch_gen = 0;
+    windows = { epoch = -1; size = 0; align = 0; costed = []; pending = [] };
   }
 
 let heap t = t.heap

@@ -6,6 +6,23 @@
     events drain it, raising [Pc_heap.Budget.Exceeded] when a manager
     compacts beyond its quota. *)
 
+type candidate = { window_start : int; cost : int }
+(** An aligned window and the total size of the objects it
+    intersects (see {!Evict}). *)
+
+(** Evict's last window scan, reused while
+    {!Pc_heap.Free_index.epoch}, the window size and the alignment
+    match. *)
+type window_scan = {
+  mutable epoch : int;  (** [-1] until the first scan *)
+  mutable size : int;
+  mutable align : int;
+  mutable costed : candidate list;
+      (** windows below the frontier, ordered by (cost, start) *)
+  mutable pending : int list;
+      (** window starts not yet below the frontier, ascending *)
+}
+
 type t = {
   heap : Pc_heap.Heap.t;
   budget : Pc_heap.Budget.t;
@@ -14,6 +31,7 @@ type t = {
       (** generation-stamped planner scratch; a slot is marked iff it
           holds [scratch_gen] *)
   mutable scratch_gen : int;
+  windows : window_scan;
 }
 
 val create : ?budget:Pc_heap.Budget.t -> live_bound:int -> unit -> t

@@ -12,14 +12,15 @@ open Pc_heap
    Candidate windows are derived from the largest free gaps rather
    than from a scan of all live objects: a window that is cheap to
    clear is mostly free, so it overlaps one of the big gaps. This
-   keeps each eviction attempt at O(max_gaps * log live) instead of
-   O(live). *)
+   keeps each scan at O(gaps_scanned * log live) instead of O(live), and
+   the scan is kept in the context and reused until the free index's
+   epoch moves (see [candidates_capped]). *)
 
 let src = Logs.Src.create "pc.evict" ~doc:"window eviction decisions"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type candidate = { window_start : int; cost : int }
+type candidate = Ctx.candidate = { window_start : int; cost : int }
 
 (* Telemetry: how much window-scanning the compacting managers do and
    how often it pays off. The window-cost distribution is only
@@ -27,29 +28,47 @@ type candidate = { window_start : int; cost : int }
 module T = Pc_telemetry
 
 let candidates_c = T.Registry.counter "evict.candidates_scanned"
+let scan_hits_c = T.Registry.counter "evict.scan_cache_hits"
 let attempts_c = T.Registry.counter "evict.attempts"
 let cleared_c = T.Registry.counter "evict.windows_cleared"
 let evicted_words_c = T.Registry.counter "evict.evicted_words"
 let window_cost_h = T.Registry.histogram "evict.window_cost"
 
+(* Why [try_evict] returned [None]: exactly one per declined call. *)
+let declined_no_candidate_c = T.Registry.counter "evict.declined_no_candidate"
+let declined_relocation_c = T.Registry.counter "evict.declined_relocation"
+let declined_budget_c = T.Registry.counter "evict.declined_budget"
+let declined_attempts_c = T.Registry.counter "evict.declined_attempts"
+
 (* Cost of clearing the aligned [size]-word window at [start]: total
    size of the live objects intersecting it (straddlers count fully —
    they must be moved whole). *)
 let window_cost heap ~start ~size =
-  Heap.fold_objects_in heap ~start ~stop:(start + size) ~init:0
-    ~f:(fun acc (o : Heap.obj) -> acc + o.size)
+  Heap.clear_cost heap ~start ~stop:(start + size) ~cap:max_int
 
-(* Candidate [align]-aligned [size]-word windows below the frontier,
-   cheapest first, discovered around the [max_gaps] largest gaps.
-   Windows costing more than [cost_cap] may report any cost above it.
+let gaps_scanned = 64
 
-   This runs on every heap-growing allocation of the compacting
-   managers, so it must not allocate per considered window. *)
-let candidates_capped ?(max_gaps = 64) ~cost_cap ctx ~size ~align =
+let by_cost_start a b =
+  match Int.compare a.cost b.cost with
+  | 0 -> Int.compare a.window_start b.window_start
+  | c -> c
+
+let cost_window heap ~size start =
+  let cost = window_cost heap ~start ~size in
+  if !T.Sink.active then begin
+    T.Counter.incr candidates_c;
+    if !T.Sink.full_active then T.Histogram.observe window_cost_h cost
+  end;
+  { window_start = start; cost }
+
+(* Scan the [align]-aligned windows around the [gaps_scanned] largest
+   gaps afresh: cost the ones wholly below the frontier, and keep the
+   others (near the frontier) pending. *)
+let rescan ctx (ws : Ctx.window_scan) ~size ~align =
   let heap = Ctx.heap ctx in
   let free = Ctx.free_index ctx in
   let frontier = Free_index.frontier free in
-  let cands = ref [] in
+  let below = ref [] and pending = ref [] in
   (* The same few windows surface from many gaps; an O(1)
      generation-stamped dedup beats rescanning the candidate list on
      every hit. *)
@@ -63,16 +82,9 @@ let candidates_capped ?(max_gaps = 64) ~cost_cap ctx ~size ~align =
     if w >= 0 && Array.unsafe_get seen w <> gen then begin
       Array.unsafe_set seen w gen;
       let start = w * align in
-      if start + size <= frontier then begin
-        let cost =
-          Heap.clear_cost heap ~start ~stop:(start + size) ~cap:cost_cap
-        in
-        if !T.Sink.active then begin
-          T.Counter.incr candidates_c;
-          if !T.Sink.full_active then T.Histogram.observe window_cost_h cost
-        end;
-        cands := { window_start = start; cost } :: !cands
-      end
+      if start + size <= frontier then
+        below := cost_window heap ~size start :: !below
+      else pending := start :: !pending
     end
   in
   (* Two divisions per inspected gap add up; managers align windows to
@@ -88,7 +100,7 @@ let candidates_capped ?(max_gaps = 64) ~cost_cap ctx ~size ~align =
     else -1
   in
   let wof = if ashift >= 0 then fun a -> a lsr ashift else fun a -> a / align in
-  Free_index.iter_largest_gaps free ~k:max_gaps (fun gs gl ->
+  Free_index.iter_largest_gaps free ~k:gaps_scanned (fun gs gl ->
       (* Windows overlapping this gap; a bounded number per gap. *)
       let w0 = wof gs and w1 = wof (gs + gl - 1) in
       let wlimit = min w1 (w0 + 3) in
@@ -96,18 +108,61 @@ let candidates_capped ?(max_gaps = 64) ~cost_cap ctx ~size ~align =
         consider w
       done;
       if w1 > wlimit then consider w1);
-  match !cands with
-  | ([] | [ _ ]) as l -> l
-  | l ->
-      List.sort
-        (fun a b ->
-          match Int.compare a.cost b.cost with
-          | 0 -> Int.compare a.window_start b.window_start
-          | c -> c)
-        l
+  ws.epoch <- Free_index.epoch free;
+  ws.size <- size;
+  ws.align <- align;
+  ws.costed <- List.sort by_cost_start !below;
+  ws.pending <- List.sort Int.compare !pending
 
-let window_candidates ?max_gaps ctx ~size ~align =
-  candidates_capped ?max_gaps ~cost_cap:max_int ctx ~size ~align
+(* Same epoch: the frontier can only have grown. Cost the pending
+   windows it has passed and merge them in. *)
+let admit ctx (ws : Ctx.window_scan) =
+  let frontier = Free_index.frontier (Ctx.free_index ctx) in
+  match ws.pending with
+  | s :: _ when s + ws.size <= frontier ->
+      let fresh, rest =
+        List.partition (fun s -> s + ws.size <= frontier) ws.pending
+      in
+      ws.pending <- rest;
+      ws.costed <-
+        List.merge by_cost_start
+          (List.map (cost_window (Ctx.heap ctx) ~size:ws.size) fresh
+          |> List.sort by_cost_start)
+          ws.costed
+  | _ -> ()
+
+let rec within_cap cap = function
+  | c :: rest when c.cost <= cap -> c :: within_cap cap rest
+  | _ -> []
+
+(* Candidate [align]-aligned [size]-word windows below the frontier
+   costing at most [cost_cap], cheapest first (ties: lowest start),
+   discovered around the [gaps_scanned] largest gaps.
+
+   This runs on every heap-growing allocation of the compacting
+   managers, while the gaps seldom change between two of them. So the
+   scan is kept in [Ctx] under the free index's epoch: within one
+   epoch the only mutation is tail growth, which leaves the gap set,
+   hence the window set, alone and touches no word below the old
+   frontier, so every window already costed keeps its cost; a window
+   the frontier newly passes is costed when it is admitted. The kept
+   list is sorted by (cost, start), a total order, so the cap filter is
+   a prefix and the result equals a fresh scan's, filtered then
+   sorted. *)
+let candidates_capped ~cost_cap ctx ~size ~align =
+  let ws = ctx.Ctx.windows in
+  if
+    ws.epoch = Free_index.epoch (Ctx.free_index ctx)
+    && ws.size = size && ws.align = align
+  then begin
+    T.Counter.incr scan_hits_c;
+    admit ctx ws
+  end
+  else rescan ctx ws ~size ~align;
+  within_cap cost_cap ws.costed
+
+let window_candidates ctx ~size ~align =
+  candidates_capped ~cost_cap:max_int ctx ~size ~align
 
 (* Default relocation target: lowest-addressed existing gap that does
    not overlap the window being cleared. *)
@@ -121,62 +176,67 @@ let relocate_first_fit ctx ~avoid (o : Heap.obj) =
       Free_index.first_fit_from free ~from:(Interval.stop avoid) ~size:o.size
   | None -> None
 
-(* Clear one window and return its start address. Objects are moved
-   largest-first so that relocation failures surface before most of the
-   budget is spent. Returns [None] when no candidate window can be
-   cleared within [move_cap] words of budget. *)
-let try_evict ?(max_attempts = 3) ?max_gaps ?relocate ctx ~size ~align
-    ~move_cap =
-  let relocate =
-    match relocate with Some f -> f | None -> relocate_first_fit
+type decline = No_candidate | Relocation | Budget_spent | Attempts
+
+(* Clear the [size]-word window at [start] by relocating its objects,
+   largest first, so that relocation failures surface before most of
+   the budget is spent. The caller's cap was read before any move: an
+   earlier failed attempt may already have spent part of it, so each
+   move is checked against what the budget holds now, and one it
+   cannot pay for fails the attempt. *)
+let clear_window ctx ~relocate ~size start =
+  T.Counter.incr attempts_c;
+  let heap = Ctx.heap ctx and budget = Ctx.budget ctx in
+  let avoid = Interval.of_extent ~start ~len:size in
+  let rec relocate_all = function
+    | [] -> Ok start
+    | (o : Heap.obj) :: rest -> (
+        match relocate ctx ~avoid o with
+        | None -> Error Relocation
+        | Some _ when o.size > Budget.available budget -> Error Budget_spent
+        | Some dst ->
+            Heap.move heap o.oid ~dst;
+            T.Counter.add evicted_words_c o.size;
+            relocate_all rest)
   in
-  let heap = Ctx.heap ctx in
+  Heap.objects_in heap ~start ~stop:(start + size)
+  |> List.sort (fun (a : Heap.obj) (b : Heap.obj) -> Int.compare b.size a.size)
+  |> relocate_all
+
+(* Try candidates in order, at most [attempts] of them; on failure say
+   why the last one failed. *)
+let rec first_cleared ctx ~relocate ~size attempts last = function
+  | [] -> Error last
+  | _ when attempts = 0 -> Error Attempts
+  | c :: rest -> (
+      match clear_window ctx ~relocate ~size c.window_start with
+      | Ok _ as cleared -> cleared
+      | Error why -> first_cleared ctx ~relocate ~size (attempts - 1) why rest)
+
+(* Clear one window and return its start address, or [None] when no
+   candidate window can be cleared within [move_cap] words of budget. *)
+let try_evict ?(max_attempts = 3) ?(relocate = relocate_first_fit) ctx ~size
+    ~align ~move_cap =
   let budget = Ctx.budget ctx in
   let cap = min move_cap (Budget.available budget) in
-  let candidates =
-    if Free_index.gap_count (Ctx.free_index ctx) = 0 then []
-    else
-      candidates_capped ?max_gaps ~cost_cap:cap ctx ~size ~align
-      |> List.filter (fun c -> c.cost <= cap)
-  in
-  let attempt { window_start; _ } =
-    T.Counter.incr attempts_c;
-    let avoid = Interval.of_extent ~start:window_start ~len:size in
-    let objs =
-      Heap.objects_in heap ~start:window_start ~stop:(window_start + size)
-      |> List.sort (fun (a : Heap.obj) (b : Heap.obj) ->
-             Int.compare b.size a.size)
-    in
-    let ok =
-      List.for_all
-        (fun (o : Heap.obj) ->
-          match relocate ctx ~avoid o with
-          | Some dst ->
-              Heap.move heap o.oid ~dst;
-              T.Counter.add evicted_words_c o.size;
-              true
-          | None -> false)
-        objs
-    in
-    if ok then Some window_start else None
-  in
-  let rec first_success attempts = function
-    | [] -> None
-    | _ when attempts = 0 -> None
-    | c :: rest -> (
-        match attempt c with
-        | Some _ as res -> res
-        | None -> first_success (attempts - 1) rest)
-  in
-  let result = first_success max_attempts candidates in
-  (match result with
-  | Some a ->
+  let candidates = candidates_capped ~cost_cap:cap ctx ~size ~align in
+  match
+    first_cleared ctx ~relocate ~size max_attempts No_candidate candidates
+  with
+  | Ok a ->
       T.Counter.incr cleared_c;
       Log.debug (fun k ->
           k "cleared window [%d,%d) (budget left %d)" a (a + size)
-            (Budget.available budget))
-  | None ->
+            (Budget.available budget));
+      Some a
+  | Error why ->
+      T.Counter.incr
+        (match why with
+        | No_candidate -> declined_no_candidate_c
+        | Relocation -> declined_relocation_c
+        | Budget_spent -> declined_budget_c
+        | Attempts -> declined_attempts_c);
       Log.debug (fun k ->
           k "no evictable %d-word window (%d candidates within cap %d)" size
-            (List.length candidates) cap));
-  result
+            (List.length candidates) cap);
+      None

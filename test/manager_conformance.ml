@@ -130,6 +130,23 @@ let test_registry_completeness () =
     "the zoo holds at least seventeen managers" true
     (List.length covered >= 17)
 
+(* Churn seeds on which a failed eviction attempt once spent budget
+   and the next candidate window was still checked against the cap
+   read before it: the managers raised [Budget.Exceeded] instead of
+   declining to compact. *)
+let test_evict_rechecks_budget () =
+  List.iter
+    (fun key ->
+      let e = Option.get (Registry.find key) in
+      List.iter
+        (fun seed ->
+          let o = run e seed in
+          Alcotest.(check bool)
+            (Fmt.str "%s seed %d: budget-compliant" key seed)
+            true o.compliant)
+        [ 126; 541; 555 ])
+    [ "compacting"; "improved-ac" ]
+
 (* Conservation and compliance as a property over fresh seeds, zoo-wide. *)
 let prop_conformance =
   QCheck.Test.make ~name:"zoo-wide churn conformance" ~count:5
@@ -151,6 +168,11 @@ let () =
           [
             Alcotest.test_case "completeness" `Quick
               test_registry_completeness;
+          ] );
+        ( "budget",
+          [
+            Alcotest.test_case "evict rechecks the budget per move" `Quick
+              test_evict_rechecks_budget;
           ] );
         ("properties", [ QCheck_alcotest.to_alcotest prop_conformance ]);
       ])

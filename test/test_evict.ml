@@ -173,6 +173,140 @@ let test_compact_fit_plug_charges_window_cost () =
   Oracle.finish oracle;
   Heap.check_invariants heap
 
+(* ------------------------------------------------------------------ *)
+(* The window scan kept in [Ctx] must be invisible: after any sequence
+   of mutations, [window_candidates] equals a from-scratch scan of the
+   64 largest gaps costed on a reference heap kept in lockstep. *)
+
+type op =
+  | At_frontier of int (* size *)
+  | In_gap of int * int (* gap pick, size *)
+  | Past_frontier of int * int (* distance, size *)
+  | Free_any of int (* live-object pick *)
+  | Free_tail
+  | Move of int * int (* live-object pick, destination pick *)
+
+let op_gen =
+  QCheck.Gen.(
+    let size = int_range 1 24 in
+    frequency
+      [
+        (4, map (fun s -> At_frontier s) size);
+        (3, map2 (fun g s -> In_gap (g, s)) nat size);
+        (1, map2 (fun d s -> Past_frontier (d, s)) (int_range 1 40) size);
+        (3, map (fun i -> Free_any i) nat);
+        (1, return Free_tail);
+        (2, map2 (fun i d -> Move (i, d)) nat nat);
+      ])
+
+let pp_op ppf = function
+  | At_frontier s -> Fmt.pf ppf "At_frontier %d" s
+  | In_gap (g, s) -> Fmt.pf ppf "In_gap (%d, %d)" g s
+  | Past_frontier (d, s) -> Fmt.pf ppf "Past_frontier (%d, %d)" d s
+  | Free_any i -> Fmt.pf ppf "Free_any %d" i
+  | Free_tail -> Fmt.pf ppf "Free_tail"
+  | Move (i, d) -> Fmt.pf ppf "Move (%d, %d)" i d
+
+(* A fresh scan: the windows overlapping each of the 64 largest gaps
+   (the first four and the last), those wholly below the frontier,
+   costed on the reference heap and sorted by (cost, start). *)
+let fresh_candidates r ~size ~align =
+  let fr = Heap_ref.free_index r in
+  let frontier = Free_index_ref.frontier fr in
+  let windows =
+    List.concat_map
+      (fun (gs, gl) ->
+        let w0 = gs / align and w1 = (gs + gl - 1) / align in
+        List.init (min w1 (w0 + 3) - w0 + 1) (fun i -> w0 + i) @ [ w1 ])
+      (Free_index_ref.largest_gaps fr ~k:64)
+  in
+  List.sort_uniq Int.compare windows
+  |> List.filter_map (fun w ->
+         let start = w * align in
+         if start + size > frontier then None
+         else
+           Some
+             ( Heap_ref.clear_cost r ~start ~stop:(start + size) ~cap:max_int,
+               start ))
+  |> List.sort compare
+
+let apply_op h r = function
+  | At_frontier size ->
+      let addr = Free_index.frontier (Heap.free_index h) in
+      ignore (Heap.alloc h ~addr ~size);
+      ignore (Heap_ref.alloc r ~addr ~size)
+  | In_gap (g, size) -> (
+      match Free_index.gaps (Heap.free_index h) with
+      | [] -> ()
+      | gaps ->
+          let gs, gl = List.nth gaps (g mod List.length gaps) in
+          let size = min size gl in
+          let addr = gs + (g mod (gl - size + 1)) in
+          ignore (Heap.alloc h ~addr ~size);
+          ignore (Heap_ref.alloc r ~addr ~size))
+  | Past_frontier (d, size) ->
+      let addr = Free_index.frontier (Heap.free_index h) + d in
+      ignore (Heap.alloc h ~addr ~size);
+      ignore (Heap_ref.alloc r ~addr ~size)
+  | Free_any i -> (
+      match Heap.live_list h with
+      | [] -> ()
+      | live ->
+          let o = List.nth live (i mod List.length live) in
+          Heap.free h o.oid;
+          Heap_ref.free r o.oid)
+  | Free_tail -> (
+      match List.rev (Heap.live_list h) with
+      | [] -> ()
+      | o :: _ ->
+          Heap.free h o.oid;
+          Heap_ref.free r o.oid)
+  | Move (i, d) -> (
+      match Heap.live_list h with
+      | [] -> ()
+      | live ->
+          let o = List.nth live (i mod List.length live) in
+          let fi = Heap.free_index h in
+          (* into a gap that holds it, else onto the tail *)
+          let dst =
+            match
+              List.filter (fun (_, gl) -> gl >= o.size) (Free_index.gaps fi)
+            with
+            | [] -> Free_index.frontier fi + (d mod 8)
+            | fits -> fst (List.nth fits (d mod List.length fits))
+          in
+          Heap.move h o.oid ~dst;
+          Heap_ref.move r o.oid ~dst)
+
+let prop_scan_cache_exact =
+  QCheck.Test.make ~name:"kept window scan equals a fresh scan" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (k, ops) ->
+          Fmt.str "align 2^%d, %a" k Fmt.(Dump.list pp_op) ops)
+        Gen.(pair (int_range 2 5) (list_size (int_range 1 80) op_gen)))
+    (fun (k, ops) ->
+      let size = 1 lsl k in
+      let ctx = Ctx.create ~live_bound:65536 () in
+      let h = Ctx.heap ctx and r = Heap_ref.create () in
+      List.for_all
+        (fun op ->
+          apply_op h r op;
+          (* the window size under test, and now and then another, so
+             the kept scan is also replaced mid-epoch *)
+          List.for_all
+            (fun (size, align) ->
+              let kept =
+                Evict.window_candidates ctx ~size ~align
+                |> List.map (fun (c : Evict.candidate) ->
+                       (c.cost, c.window_start))
+              in
+              kept = fresh_candidates r ~size ~align)
+            (if Heap.allocated_total h mod 5 = 0 then
+               [ (size, size); (2 * size, size) ]
+             else [ (size, size) ]))
+        ops)
+
 let () =
   Alcotest.run "evict"
     [
@@ -196,4 +330,6 @@ let () =
           Alcotest.test_case "compact-fit plug cost" `Quick
             test_compact_fit_plug_charges_window_cost;
         ] );
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_scan_cache_exact ] );
     ]
