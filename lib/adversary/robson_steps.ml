@@ -9,56 +9,52 @@
    two adjacent offset words from hosting a future object between
    them, which is what blows the heap up. *)
 
-(* Does the object (at its original address) occupy a word congruent
-   to [f] modulo 2^i? (Definition 4.2.) *)
-let occupying ~f ~step (r : View.record) =
+(* Does an object of [size] words at [addr] occupy a word congruent
+   to [f] modulo 2^i? (Definition 4.2.) The modulus is a power of two,
+   so the residue of [f - addr] is a mask away. *)
+let[@inline] occupies ~f ~step addr size =
   let modulus = 1 lsl step in
-  if r.size >= modulus then true
-  else begin
-    let delta = (f - r.orig_addr) mod modulus in
-    let delta = if delta < 0 then delta + modulus else delta in
-    delta < r.size
-  end
+  size >= modulus || (f - addr) land (modulus - 1) < size
+
+let occupying ~f ~step (r : View.record) =
+  occupies ~f ~step r.orig_addr r.size
 
 (* The wasted-space objective of Algorithm 2 line 4 for offset
    candidate [f]. *)
 let wasted_space view ~f ~step =
   let modulus = 1 lsl step in
-  View.fold_present view ~init:0 ~f:(fun acc r ->
-      if occupying ~f ~step r then acc + (modulus - r.size) else acc)
+  View.sum_present view (fun addr size ->
+      if occupies ~f ~step addr size then modulus - size else 0)
 
 (* One de-allocation + refill step. Returns the chosen offset. *)
 let step view ~m ~prev_f ~step:i =
-  let candidates = [ prev_f; prev_f + (1 lsl (i - 1)) ] in
-  let f =
-    match candidates with
-    | [ f0; f1 ] ->
-        if wasted_space view ~f:f1 ~step:i > wasted_space view ~f:f0 ~step:i
-        then f1
-        else f0
-    | _ -> assert false
+  let modulus = 1 lsl i in
+  let f0 = prev_f and f1 = prev_f + (1 lsl (i - 1)) in
+  (* wasted_space f1 - wasted_space f0, in one pass *)
+  let gain =
+    View.sum_present view (fun addr size ->
+        let w = modulus - size in
+        (if occupies ~f:f1 ~step:i addr size then w else 0)
+        - if occupies ~f:f0 ~step:i addr size then w else 0)
   in
-  (* Free every live or ghost object that is not f-occupying. *)
-  let doomed =
-    View.fold_present view ~init:[] ~f:(fun acc r ->
-        if occupying ~f ~step:i r then acc else r :: acc)
-  in
-  List.iter (fun r -> View.free view r) doomed;
+  let f = if gain > 0 then f1 else f0 in
+  (* Free every live or ghost object that is not f-occupying, in the
+     reverse of the view's order (which the event stream follows). *)
+  View.retain view (fun addr size -> occupies ~f ~step:i addr size);
   (* Refill: floor((M - present)/2^i) objects of size 2^i. Ghosts count
      against the refill (Algorithm 1 line 7), which keeps the program
      safely below its live bound. *)
-  let size = 1 lsl i in
-  let count = (m - View.present_words view) / size in
+  let count = (m - View.present_words view) / modulus in
   for _ = 1 to count do
-    ignore (View.alloc view ~size : View.record)
+    ignore (View.alloc view ~size:modulus : View.record)
   done;
   f
 
 (* Number of live-or-ghost f-occupying objects — the quantity Claim
    4.9 bounds from below by M*(i+2)/2^(i+1) after step i. *)
 let occupying_count view ~f ~step =
-  View.fold_present view ~init:0 ~f:(fun acc r ->
-      if occupying ~f ~step r then acc + 1 else acc)
+  View.sum_present view (fun addr size ->
+      if occupies ~f ~step addr size then 1 else 0)
 
 (* Run steps 0..steps. Returns the final offset f_steps. [observe]
    fires after each step with the chosen offset. *)

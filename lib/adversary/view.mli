@@ -29,13 +29,34 @@ val free : t -> record -> unit
 (** Program-initiated de-allocation: frees live records on the heap;
     ghosts just disappear from the view. *)
 
+val retain : t -> (int -> int -> bool) -> unit
+(** [retain t keep] frees, as {!free} does, every present record for
+    which [keep orig_addr size] is false. [keep] runs on every record
+    in {!iter_present}'s order before anything is freed; the frees then
+    come in the reverse of that order. [keep] must not use the view. *)
+
 val find : t -> Pc_heap.Oid.t -> record option
 
 val present_words : t -> int
 (** Total size of live and ghost records. *)
 
 val present_count : t -> int
+
 val iter_present : t -> (record -> unit) -> unit
+(** Visits every present record in the order an [Oid.Table] created
+    with size 1024 would, and the programs' decisions (and so their
+    event streams) depend on it: buckets [Hashtbl.hash oid land (nb-1)]
+    ascending, newest first within a bucket, where [nb] starts at 1024
+    and doubles, keeping relative order, whenever the count passes
+    [2 nb]. The callback must not alloc or free through the view. *)
+
 val fold_present : t -> init:'a -> f:('a -> record -> 'a) -> 'a
+(** {!iter_present}'s order. *)
+
+val sum_present : t -> (int -> int -> int) -> int
+(** [sum_present t f] is the sum of [f orig_addr size] over the present
+    records, visited in ascending oid order — for order-free
+    aggregates, and faster than {!fold_present}. *)
+
 val driver : t -> Driver.t
 val live_words : t -> int

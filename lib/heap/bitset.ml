@@ -2,8 +2,10 @@
    bitmask words. Level 0 packs the members 32 per word; each higher
    level has one bit per word below, set iff that word is non-empty.
    Membership updates and ordered neighbour queries (succ/pred) run in
-   O(levels) = O(log32 cap) word operations with no allocation, which
-   is what makes the heap kernel allocation-free on its hot paths. *)
+   O(levels) = O(log32 cap) word operations with no allocation: their
+   level walks are top-level functions taking [t], not local closures
+   over it (the heap kernel's hot paths lean on this; test_kernel_alloc
+   pins it). *)
 
 type t = {
   mutable nlevels : int;
@@ -55,33 +57,30 @@ let mem t i =
   i >= 0 && i < t.cap
   && t.levels.(0).(i lsr 5) land (1 lsl (i land 31)) <> 0
 
+let rec add_up t k idx =
+  if k < t.nlevels then begin
+    let w = idx lsr 5 and b = idx land 31 in
+    let a = t.levels.(k) in
+    let old = a.(w) in
+    a.(w) <- old lor (1 lsl b);
+    if old = 0 then add_up t (k + 1) w
+  end
+
 let add t i =
   if i < 0 then invalid_arg "Bitset.add: negative index";
   ensure t i;
-  let rec go k idx =
-    if k < t.nlevels then begin
-      let w = idx lsr 5 and b = idx land 31 in
-      let a = t.levels.(k) in
-      let old = a.(w) in
-      a.(w) <- old lor (1 lsl b);
-      if old = 0 then go (k + 1) w
-    end
-  in
-  go 0 i
+  add_up t 0 i
 
-let remove t i =
-  if i >= 0 && i < t.cap then begin
-    let rec go k idx =
-      if k < t.nlevels then begin
-        let w = idx lsr 5 and b = idx land 31 in
-        let a = t.levels.(k) in
-        let nw = a.(w) land lnot (1 lsl b) in
-        a.(w) <- nw;
-        if nw = 0 then go (k + 1) w
-      end
-    in
-    go 0 i
+let rec remove_up t k idx =
+  if k < t.nlevels then begin
+    let w = idx lsr 5 and b = idx land 31 in
+    let a = t.levels.(k) in
+    let nw = a.(w) land lnot (1 lsl b) in
+    a.(w) <- nw;
+    if nw = 0 then remove_up t (k + 1) w
   end
+
+let remove t i = if i >= 0 && i < t.cap then remove_up t 0 i
 
 (* Leftmost member under node [w] of level [k] (which must be
    non-empty). *)
@@ -93,47 +92,43 @@ let rec descend_max t k w =
   let c = (w lsl 5) lor Bits.msb32 t.levels.(k).(w) in
   if k = 0 then c else descend_max t (k - 1) c
 
+(* Climb from [idx] at level [k] to the first word holding a member
+   at or after it, then descend to the leftmost member below. *)
+let rec succ_up t k idx =
+  if k >= t.nlevels then -1
+  else if idx >= t.cap lsr (5 * k) then -1
+  else begin
+    let w = idx lsr 5 and b = idx land 31 in
+    let rest = t.levels.(k).(w) lsr b in
+    if rest <> 0 then begin
+      let c = (w lsl 5) lor (b + Bits.ntz32 rest) in
+      if k = 0 then c else descend_min t (k - 1) c
+    end
+    else succ_up t (k + 1) (w + 1)
+  end
+
 (* Least member >= i, or -1. *)
 let succ t i =
   let i = max i 0 in
-  if i >= t.cap then -1
+  if i >= t.cap then -1 else succ_up t 0 i
+
+let rec pred_up t k idx =
+  if k >= t.nlevels || idx < 0 then -1
   else begin
-    let rec up k idx =
-      if k >= t.nlevels then -1
-      else if idx >= t.cap lsr (5 * k) then -1
-      else begin
-        let w = idx lsr 5 and b = idx land 31 in
-        let rest = t.levels.(k).(w) lsr b in
-        if rest <> 0 then begin
-          let c = (w lsl 5) lor (b + Bits.ntz32 rest) in
-          if k = 0 then c else descend_min t (k - 1) c
-        end
-        else up (k + 1) (w + 1)
-      end
-    in
-    up 0 i
+    let w = idx lsr 5 and b = idx land 31 in
+    let below = t.levels.(k).(w) land ((1 lsl (b + 1)) - 1) in
+    if below <> 0 then begin
+      let c = (w lsl 5) lor Bits.msb32 below in
+      if k = 0 then c else descend_max t (k - 1) c
+    end
+    else if w = 0 then -1
+    else pred_up t (k + 1) (w - 1)
   end
 
 (* Greatest member <= i, or -1. *)
 let pred t i =
   let i = min i (t.cap - 1) in
-  if i < 0 then -1
-  else begin
-    let rec up k idx =
-      if k >= t.nlevels || idx < 0 then -1
-      else begin
-        let w = idx lsr 5 and b = idx land 31 in
-        let below = t.levels.(k).(w) land ((1 lsl (b + 1)) - 1) in
-        if below <> 0 then begin
-          let c = (w lsl 5) lor Bits.msb32 below in
-          if k = 0 then c else descend_max t (k - 1) c
-        end
-        else if w = 0 then -1
-        else up (k + 1) (w - 1)
-      end
-    in
-    up 0 i
-  end
+  if i < 0 then -1 else pred_up t 0 i
 
 (* Descending traversal with early exit: visit members [<= from] in
    decreasing order while [f] keeps returning [true]. One pruned radix

@@ -4,16 +4,23 @@
    [Free_index_ref] (pinned by the differential suite in
    test/test_backend_diff.ml) but mutable and cache-friendly:
    occupy/release and the fit queries touch a handful of int-array
-   words per level — O(log32 address-range) — with no allocation on
-   the hot paths, where the persistent reference rebuilds O(log n) AVL
-   spine nodes per operation.
+   words per level — O(log32 address-range) — where the persistent
+   reference rebuilds O(log n) AVL spine nodes per operation.
 
-   Representation. [gap_len.(a) = l > 0] iff a maximal gap [a, a + l)
-   starts at address [a]. [masks] is the hierarchical bitmap of the
-   set of gap starts (level 0 packs addresses 32 per word; bit [b] of
-   [masks.(k).(w)] says child [w*32 + b] of level [k-1] is non-empty),
-   and [maxl.(k).(w)] is the largest gap length anywhere under that
-   node ([0] for an empty node). The capacity is a power of two and
+   Allocation. occupy, release and the first-fit searches allocate
+   nothing on the minor heap (test_kernel_alloc pins it), with two
+   exceptions: a gap of 4096 words or more is counted in the [len_big]
+   hashtable, which allocates, and a fit query boxes its result
+   ([Gap]/[Tail] or an option). The aligned fits build a closure for
+   their test, and [iter_largest_gaps] one per call.
+
+   Representation. [gap_len] (a [Chunked] array, so growing it copies
+   nothing) holds [l > 0] at [a] iff a maximal gap [a, a + l) starts
+   at address [a], and 0 elsewhere. [masks] is the hierarchical bitmap
+   of the set of gap starts (level 0 packs addresses 32 per word; bit
+   [b] of [masks.(k).(w)] says child [w*32 + b] of level [k-1] is
+   non-empty), and [maxl.(k).(w)] is the largest gap length anywhere
+   under that node ([0] for an empty node). The capacity is a power of two and
    grows geometrically, so the top level always has exactly one word
    and [maxl.(nlevels-1).(0)] is the global largest gap.
 
@@ -41,7 +48,7 @@ type t = {
   mutable cap : int; (* power of two; 32^nlevels >= cap *)
   mutable masks : int array array;
   mutable maxl : int array array;
-  mutable gap_len : int array; (* length [cap] *)
+  gap_len : Chunked.t; (* gap start -> length, 0 elsewhere *)
   mutable gap_count : int;
   mutable free_total : int;
   lens : Bitset.t; (* distinct gap lengths present *)
@@ -83,7 +90,7 @@ let create () =
     cap;
     masks = Array.init nlevels (fun k -> Array.make (level_len cap k) 0);
     maxl = Array.init nlevels (fun k -> Array.make (level_len cap k) 0);
-    gap_len = Array.make cap 0;
+    gap_len = Chunked.create ~fill:0;
     gap_count = 0;
     free_total = 0;
     lens = Bitset.create ();
@@ -112,8 +119,6 @@ let ensure t n =
     done;
     let cap = !cap in
     let nlevels = nlevels_for cap in
-    let gap_len = Array.make cap 0 in
-    Array.blit t.gap_len 0 gap_len 0 t.cap;
     let masks = Array.make nlevels [||] and maxl = Array.make nlevels [||] in
     for k = 0 to nlevels - 1 do
       let len = level_len cap k in
@@ -132,8 +137,7 @@ let ensure t n =
     t.cap <- cap;
     t.nlevels <- nlevels;
     t.masks <- masks;
-    t.maxl <- maxl;
-    t.gap_len <- gap_len
+    t.maxl <- maxl
   end
 
 let incr_len_count t len =
@@ -169,120 +173,148 @@ let decr_len_count t len =
   in
   if c = 0 then Bitset.remove t.lens len
 
+(* Set the bit at each level; keep climbing only while this gap raises
+   the node max (an empty word has max 0 < len, so a fresh bit always
+   climbs). Like every level walk below, this is a top-level function
+   taking [t] rather than a local closure over it, so calling it builds
+   no closure. *)
+let rec add_gap_up t len k idx =
+  if k < t.nlevels then begin
+    let w = idx lsr 5 and b = idx land 31 in
+    t.masks.(k).(w) <- t.masks.(k).(w) lor (1 lsl b);
+    if len > t.maxl.(k).(w) then begin
+      t.maxl.(k).(w) <- len;
+      add_gap_up t len (k + 1) w
+    end
+  end
+
 let add_gap t start len =
   ensure t start;
-  t.gap_len.(start) <- len;
+  Chunked.set t.gap_len start len;
   t.gap_count <- t.gap_count + 1;
   t.free_total <- t.free_total + len;
   incr_len_count t len;
-  (* Set the bit at each level; keep climbing only while this gap
-     raises the node max (an empty word has max 0 < len, so a fresh
-     bit always climbs). *)
-  let rec go k idx =
-    if k < t.nlevels then begin
-      let w = idx lsr 5 and b = idx land 31 in
-      t.masks.(k).(w) <- t.masks.(k).(w) lor (1 lsl b);
-      if len > t.maxl.(k).(w) then begin
-        t.maxl.(k).(w) <- len;
-        go (k + 1) w
+  add_gap_up t len 0 start
+
+(* The largest of [nm] and the values of the children of word [w] at
+   level [k] whose bits are set in [rest]. *)
+let rec remax t k w nm rest =
+  if rest = 0 then nm
+  else begin
+    let c = (w lsl 5) lor Bits.ntz32 rest in
+    let v = if k = 0 then Chunked.get t.gap_len c else t.maxl.(k - 1).(c) in
+    remax t k w (if v > nm then v else nm) (rest land (rest - 1))
+  end
+
+(* Clear the bit where the child emptied and recompute the node max
+   where the removed child may have held it; stop as soon as neither
+   the emptiness nor the max of the current word changed. *)
+let rec remove_gap_up t k idx ~child_empty ~old_child_max ~new_child_max =
+  if k < t.nlevels then begin
+    let w = idx lsr 5 and b = idx land 31 in
+    let word =
+      if child_empty then begin
+        let word = t.masks.(k).(w) land lnot (1 lsl b) in
+        t.masks.(k).(w) <- word;
+        word
       end
+      else t.masks.(k).(w)
+    in
+    let old_max = t.maxl.(k).(w) in
+    if old_child_max >= old_max then begin
+      let nm = remax t k w new_child_max (word land lnot (1 lsl b)) in
+      t.maxl.(k).(w) <- nm;
+      if word = 0 || nm < old_max then
+        remove_gap_up t (k + 1) w ~child_empty:(word = 0)
+          ~old_child_max:old_max ~new_child_max:nm
     end
-  in
-  go 0 start
+    (* else the max came from another child, so the word is still
+       non-empty and nothing changes further up *)
+  end
 
 let remove_gap t start =
-  let len = t.gap_len.(start) in
-  t.gap_len.(start) <- 0;
+  let len = Chunked.get t.gap_len start in
+  Chunked.set t.gap_len start 0;
   t.gap_count <- t.gap_count - 1;
   t.free_total <- t.free_total - len;
   decr_len_count t len;
-  (* Clear the bit where the child emptied and recompute the node max
-     where the removed child may have held it; stop as soon as neither
-     the emptiness nor the max of the current word changed. *)
-  let rec go k idx ~child_empty ~old_child_max ~new_child_max =
-    if k < t.nlevels then begin
-      let w = idx lsr 5 and b = idx land 31 in
-      let word =
-        if child_empty then begin
-          let word = t.masks.(k).(w) land lnot (1 lsl b) in
-          t.masks.(k).(w) <- word;
-          word
-        end
-        else t.masks.(k).(w)
-      in
-      let old_max = t.maxl.(k).(w) in
-      if old_child_max >= old_max then begin
-        let rec remax nm rest =
-          if rest = 0 then nm
-          else begin
-            let bb = Bits.ntz32 rest in
-            let c = (w lsl 5) lor bb in
-            let v = if k = 0 then t.gap_len.(c) else t.maxl.(k - 1).(c) in
-            remax (if v > nm then v else nm) (rest land (rest - 1))
-          end
-        in
-        let nm = remax new_child_max (word land lnot (1 lsl b)) in
-        t.maxl.(k).(w) <- nm;
-        if word = 0 || nm < old_max then
-          go (k + 1) w ~child_empty:(word = 0) ~old_child_max:old_max
-            ~new_child_max:nm
-      end
-      (* else the max came from another child, so the word is still
-         non-empty and nothing changes further up *)
+  remove_gap_up t 0 start ~child_empty:true ~old_child_max:len
+    ~new_child_max:0
+
+let rec descend_max_start t k w =
+  let c = (w lsl 5) lor Bits.msb32 t.masks.(k).(w) in
+  if k = 0 then c else descend_max_start t (k - 1) c
+
+let rec pred_start_up t k idx =
+  if k >= t.nlevels || idx < 0 then -1
+  else begin
+    let w = idx lsr 5 and b = idx land 31 in
+    let below = t.masks.(k).(w) land ((1 lsl (b + 1)) - 1) in
+    if below <> 0 then begin
+      let c = (w lsl 5) lor Bits.msb32 below in
+      if k = 0 then c else descend_max_start t (k - 1) c
     end
-  in
-  go 0 start ~child_empty:true ~old_child_max:len ~new_child_max:0
+    else if w = 0 then -1
+    else pred_start_up t (k + 1) (w - 1)
+  end
 
 (* Greatest gap start <= i, or -1. *)
 let pred_start t i =
   let i = min i (t.cap - 1) in
-  if i < 0 then -1
+  if i < 0 then -1 else pred_start_up t 0 i
+
+let rec descend_min_start t k w =
+  let c = (w lsl 5) lor Bits.ntz32 t.masks.(k).(w) in
+  if k = 0 then c else descend_min_start t (k - 1) c
+
+let rec succ_start_up t k idx =
+  if k >= t.nlevels then -1
   else begin
-    let rec descend_max k w =
-      let c = (w lsl 5) lor Bits.msb32 t.masks.(k).(w) in
-      if k = 0 then c else descend_max (k - 1) c
-    in
-    let rec up k idx =
-      if k >= t.nlevels || idx < 0 then -1
-      else begin
-        let w = idx lsr 5 and b = idx land 31 in
-        let below = t.masks.(k).(w) land ((1 lsl (b + 1)) - 1) in
-        if below <> 0 then begin
-          let c = (w lsl 5) lor Bits.msb32 below in
-          if k = 0 then c else descend_max (k - 1) c
-        end
-        else if w = 0 then -1
-        else up (k + 1) (w - 1)
+    let w = idx lsr 5 and b = idx land 31 in
+    if w >= Array.length t.masks.(k) then -1
+    else begin
+      let rest = t.masks.(k).(w) lsr b in
+      if rest <> 0 then begin
+        let c = (w lsl 5) lor (b + Bits.ntz32 rest) in
+        if k = 0 then c else descend_min_start t (k - 1) c
       end
-    in
-    up 0 i
+      else succ_start_up t (k + 1) (w + 1)
+    end
   end
 
 (* Least gap start >= i, or -1. *)
 let succ_start t i =
   let i = max i 0 in
-  if i >= t.cap then -1
+  if i >= t.cap then -1 else succ_start_up t 0 i
+
+(* [scan_up]/[bits_up] walk the radix tree for [search_up]: [scan_up]
+   enters word [w] of level [k] at the first child at or after [lo];
+   [bits_up] visits that word's set bits [rest] ascending from bit [b].
+   Tail recursion keeps the state in registers. *)
+let rec scan_up t ~lo ~size test k w =
+  let base = w lsl 5 in
+  let c0 = lo lsr (5 * k) in
+  let b0 = if c0 <= base then 0 else c0 - base in
+  if b0 > 31 then -1
+  else bits_up t ~lo ~size test k base (t.masks.(k).(w) lsr b0) b0
+
+and bits_up t ~lo ~size test k base rest b =
+  if rest = 0 then -1
   else begin
-    let rec descend_min k w =
-      let c = (w lsl 5) lor Bits.ntz32 t.masks.(k).(w) in
-      if k = 0 then c else descend_min (k - 1) c
-    in
-    let rec up k idx =
-      if k >= t.nlevels then -1
-      else begin
-        let w = idx lsr 5 and b = idx land 31 in
-        if w >= Array.length t.masks.(k) then -1
-        else begin
-          let rest = t.masks.(k).(w) lsr b in
-          if rest <> 0 then begin
-            let c = (w lsl 5) lor (b + Bits.ntz32 rest) in
-            if k = 0 then c else descend_min (k - 1) c
-          end
-          else up (k + 1) (w + 1)
-        end
+    let skip = Bits.ntz32 rest in
+    let bb = b + skip in
+    let c = base lor bb in
+    let r =
+      if k = 0 then begin
+        let gl = Chunked.get t.gap_len c in
+        if gl >= size then test c gl else -1
       end
+      else if t.maxl.(k - 1).(c) >= size then
+        scan_up t ~lo ~size test (k - 1) c
+      else -1
     in
-    up 0 i
+    if r <> -1 then r
+    else bits_up t ~lo ~size test k base (rest lsr (skip + 1)) (bb + 1)
   end
 
 (* Visit the gaps of length >= size with start >= lo in ascending start
@@ -292,66 +324,40 @@ let succ_start t i =
 let search_up t ~lo ~size test =
   let lo = max lo 0 in
   if lo >= t.cap || root_max t < size then -1
+  else scan_up t ~lo ~size test (t.nlevels - 1) 0
+
+let rec scan_down t ~hi ~size test k w =
+  let base = w lsl 5 in
+  let chi = hi lsr (5 * k) in
+  let bhi = if chi >= base + 31 then 31 else chi - base in
+  if bhi < 0 then -1
+  else
+    bits_down t ~hi ~size test k base
+      (t.masks.(k).(w) land ((1 lsl (bhi + 1)) - 1))
+
+and bits_down t ~hi ~size test k base rest =
+  if rest = 0 then -1
   else begin
-    (* [bits] walks one word's set bits ascending; tail recursion keeps
-       the state in registers — a [ref]-based loop would allocate per
-       node visited, and this runs on every allocation. *)
-    let rec scan k w =
-      let base = w lsl 5 in
-      let c0 = lo lsr (5 * k) in
-      let b0 = if c0 <= base then 0 else c0 - base in
-      if b0 > 31 then -1 else bits k base (t.masks.(k).(w) lsr b0) b0
-    and bits k base rest b =
-      if rest = 0 then -1
-      else begin
-        let skip = Bits.ntz32 rest in
-        let bb = b + skip in
-        let c = base lor bb in
-        let r =
-          if k = 0 then begin
-            let gl = t.gap_len.(c) in
-            if gl >= size then test c gl else -1
-          end
-          else if t.maxl.(k - 1).(c) >= size then scan (k - 1) c
-          else -1
-        in
-        if r <> -1 then r else bits k base (rest lsr (skip + 1)) (bb + 1)
+    let bb = Bits.msb32 rest in
+    let c = base lor bb in
+    let r =
+      if k = 0 then begin
+        let gl = Chunked.get t.gap_len c in
+        if gl >= size then test c gl else -1
       end
+      else if t.maxl.(k - 1).(c) >= size then
+        scan_down t ~hi ~size test (k - 1) c
+      else -1
     in
-    scan (t.nlevels - 1) 0
+    if r <> -1 then r
+    else bits_down t ~hi ~size test k base (rest land lnot (1 lsl bb))
   end
 
 (* Same, descending start order over gaps with start <= hi. *)
 let search_down t ~hi ~size test =
   let hi = min hi (t.cap - 1) in
   if hi < 0 || root_max t < size then -1
-  else begin
-    (* Allocation-free like [search_up]: this is the top-k enumeration
-       workhorse behind every eviction. *)
-    let rec scan k w =
-      let base = w lsl 5 in
-      let chi = hi lsr (5 * k) in
-      let bhi = if chi >= base + 31 then 31 else chi - base in
-      if bhi < 0 then -1
-      else bits k base (t.masks.(k).(w) land ((1 lsl (bhi + 1)) - 1))
-    and bits k base rest =
-      if rest = 0 then -1
-      else begin
-        let bb = Bits.msb32 rest in
-        let c = base lor bb in
-        let r =
-          if k = 0 then begin
-            let gl = t.gap_len.(c) in
-            if gl >= size then test c gl else -1
-          end
-          else if t.maxl.(k - 1).(c) >= size then scan (k - 1) c
-          else -1
-        in
-        if r <> -1 then r else bits k base (rest land lnot (1 lsl bb))
-      end
-    in
-    scan (t.nlevels - 1) 0
-  end
+  else scan_down t ~hi ~size test (t.nlevels - 1) 0
 
 (* The gap [(start, len)] below the frontier containing
    [addr, addr + len) entirely, if any; returns the start, with the
@@ -360,7 +366,7 @@ let containing_gap t ~addr ~len =
   if addr >= t.frontier then -1
   else begin
     let s = pred_start t addr in
-    if s >= 0 && addr + len <= s + t.gap_len.(s) then s else -1
+    if s >= 0 && addr + len <= s + Chunked.get t.gap_len s then s else -1
   end
 
 let is_free t ~addr ~len =
@@ -384,7 +390,7 @@ let occupy t ~addr ~len =
     match containing_gap t ~addr ~len with
     | -1 -> invalid_arg "Free_index.occupy: extent not free"
     | s ->
-        let l = t.gap_len.(s) in
+        let l = Chunked.get t.gap_len s in
         remove_gap t s;
         if addr > s then add_gap t s (addr - s);
         if addr + len < s + l then add_gap t (addr + len) (s + l - addr - len)
@@ -404,7 +410,7 @@ let release t ~addr ~len =
     let p = pred_start t addr in
     if p < 0 then -1
     else begin
-      let stop = p + t.gap_len.(p) in
+      let stop = p + Chunked.get t.gap_len p in
       if stop > addr then invalid_arg "Free_index.release: extent already free"
       else if stop = addr then p
       else -1
@@ -420,22 +426,15 @@ let release t ~addr ~len =
     else if s = addr + len then s
     else -1
   in
-  let start, length =
-    if coalesce_left >= 0 then begin
-      let l = t.gap_len.(coalesce_left) in
-      remove_gap t coalesce_left;
-      (coalesce_left, l + len)
-    end
-    else (addr, len)
+  (* The merged gap runs from the left neighbour's start (which ends
+     exactly at [addr]) through the right neighbour's end. *)
+  let start = if coalesce_left >= 0 then coalesce_left else addr in
+  let right_len =
+    if coalesce_right >= 0 then Chunked.get t.gap_len coalesce_right else 0
   in
-  let start, length =
-    if coalesce_right >= 0 then begin
-      let l = t.gap_len.(coalesce_right) in
-      remove_gap t coalesce_right;
-      (start, length + l)
-    end
-    else (start, length)
-  in
+  let length = addr + len + right_len - start in
+  if coalesce_left >= 0 then remove_gap t coalesce_left;
+  if coalesce_right >= 0 then remove_gap t coalesce_right;
   if start + length = t.frontier then t.frontier <- start
   else add_gap t start length
 
@@ -469,7 +468,8 @@ let first_fit_from t ~from ~size =
   (* A gap starting before [from] may still contain [from, from+size):
      check the predecessor explicitly, then search starts >= from. *)
   let p = pred_start t from in
-  if p >= 0 && p < from && p + t.gap_len.(p) >= from + size then Some from
+  if p >= 0 && p < from && p + Chunked.get t.gap_len p >= from + size then
+    Some from
   else begin
     match search_up t ~lo:from ~size (fun s _ -> s) with
     | -1 -> None
@@ -532,7 +532,7 @@ let first_aligned_fit_from t ~from ~size ~align =
     let p = pred_start t from in
     if p >= 0 && p < from then begin
       let a = Word.align_up from ~align in
-      if a + size <= p + t.gap_len.(p) then a else -1
+      if a + size <= p + Chunked.get t.gap_len p then a else -1
     end
     else -1
   in
@@ -579,8 +579,8 @@ let gaps t =
    under its next-best key, so each emission costs O(32 log32 cap)
    word scans and the heap stays O(k + levels) small. The eviction
    machinery calls this on every heap-growing allocation, so it is
-   written allocation-free in direct style: reused scratch arrays on
-   [t], no closures, unsafe accesses on heap-internal indices. *)
+   written in direct style: reused scratch arrays on [t], no closures,
+   unsafe accesses on heap-internal indices. *)
 
 let[@inline] tk_less h i j =
   let li = Array.unsafe_get h.tk_len i and lj = Array.unsafe_get h.tk_len j in
@@ -616,7 +616,7 @@ let tk_push t h lvl w m =
         let b = Bits.ntz32 !mm in
         mm := !mm land (!mm - 1);
         let c = base lor b in
-        let len = Array.unsafe_get t.gap_len c in
+        let len = Chunked.get t.gap_len c in
         if len > !best_len || (len = !best_len && c > !best_start) then begin
           best_len := len;
           best_start := c
@@ -837,7 +837,8 @@ let check_invariants t =
         let bit = t.masks.(k).(w) land (1 lsl b) <> 0 in
         let present, v =
           if k = 0 then
-            if c < t.cap then (t.gap_len.(c) > 0, t.gap_len.(c)) else (false, 0)
+            let l = Chunked.get t.gap_len c in
+            (l > 0, l)
           else if c < Array.length t.masks.(k - 1) then
             (t.masks.(k - 1).(c) <> 0, t.maxl.(k - 1).(c))
           else (false, 0)

@@ -1,19 +1,23 @@
-(* The heap kernel. Live objects live in flat parallel arrays
-   indexed by slot; a growable int array maps oids to slots (oids are
-   dense sequential ints, so an array beats a hashtable), a second one
-   maps start addresses back to slots, and a hierarchical bitset over
-   start addresses supplies address-ordered iteration and the
-   straddler lookup for range queries. alloc/free/move are O(1) plus
-   the free-index update; [fold_objects_in] and [clear_cost] are
+(* The heap kernel. Each object's extent lives in one interleaved int
+   array indexed by oid ([ext] holds its start address at [2 oid], -1
+   once dead or never allocated, and its size at [2 oid + 1]), so the
+   two words a mutation reads share a cache line; oids are dense
+   sequential ints, so an array beats a hashtable. A second array maps
+   start addresses back to oids, and a hierarchical bitset over start
+   addresses supplies address-ordered iteration and the straddler
+   lookup for range queries. A free in arbitrary oid order touches the
+   extent line, the address line and the bitset. alloc/free/move are
+   O(1) plus the free-index update and, with no listener attached,
+   allocate nothing; [fold_objects_in] and [clear_cost] are
    O(k log32 range) for k intersecting objects. Observationally
    identical to the reference [Heap_ref] (pinned by the differential
    suite).
 
-   Memory note: [slot_of_oid] grows with the total number of
-   allocations ever made (8 bytes each) and [slot_at] with the highest
-   address touched — both linear in work already done by the
-   simulation, and both far below the persistent reference's GC churn
-   in practice. *)
+   Memory note: [ext] grows with the total number of allocations ever
+   made (16 bytes each, dead or alive) and [oid_at] with the highest
+   address touched (8 bytes per word) — both linear in work already
+   done by the simulation. Both are [Chunked] arrays, so growing them
+   leaves no dead copy behind for the major GC. *)
 
 type obj = Heap_types.obj = { oid : Oid.t; addr : int; size : int }
 
@@ -26,13 +30,8 @@ type free_index = Free_index.t
 
 type t = {
   free : Free_index.t;
-  mutable slot_of_oid : int array; (* oid -> slot, -1 unknown/dead *)
-  mutable oid_of : int array; (* slot -> oid; next-free link when dead *)
-  mutable addr_of : int array; (* slot -> start address *)
-  mutable size_of : int array; (* slot -> size *)
-  mutable slots_used : int;
-  mutable free_head : int; (* head of the dead-slot freelist, -1 none *)
-  mutable slot_at : int array; (* start address -> slot, -1 none *)
+  ext : Chunked.t; (* 2 oid -> start (-1 dead), 2 oid + 1 -> size *)
+  oid_at : Chunked.t; (* start address -> oid, -1 none *)
   starts : Bitset.t; (* live-object start addresses *)
   mutable nlive : int;
   mutable next_oid : int;
@@ -47,13 +46,8 @@ type t = {
 let create () =
   {
     free = Free_index.create ();
-    slot_of_oid = Array.make 1024 (-1);
-    oid_of = Array.make 1024 (-1);
-    addr_of = Array.make 1024 (-1);
-    size_of = Array.make 1024 0;
-    slots_used = 0;
-    free_head = -1;
-    slot_at = Array.make 1024 (-1);
+    ext = Chunked.create ~fill:(-1);
+    oid_at = Chunked.create ~fill:(-1);
     starts = Bitset.create ();
     nlive = 0;
     next_oid = 0;
@@ -96,65 +90,28 @@ let high_water t = t.high_water
 let free_index t = t.free
 let is_free t ~addr ~size = Free_index.is_free t.free ~addr ~len:size
 
-let grown_copy a n ~fill =
-  let cap = ref (2 * Array.length a) in
-  while n >= !cap do
-    cap := !cap * 2
-  done;
-  let a' = Array.make !cap fill in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
+(* [addr_of] is -1 for an oid that is dead or was never allocated. *)
+let[@inline] addr_of t oid = Chunked.get t.ext (2 * oid)
+let[@inline] size_of t oid = Chunked.get t.ext ((2 * oid) + 1)
+let[@inline] oid_at t addr = Chunked.get t.oid_at addr
 
-let ensure_oid t oid =
-  if oid >= Array.length t.slot_of_oid then
-    t.slot_of_oid <- grown_copy t.slot_of_oid oid ~fill:(-1)
+let[@inline] obj_of t oid =
+  { oid = Oid.of_int oid; addr = addr_of t oid; size = size_of t oid }
 
-let ensure_addr t addr =
-  if addr >= Array.length t.slot_at then
-    t.slot_at <- grown_copy t.slot_at addr ~fill:(-1)
-
-let new_slot t =
-  if t.free_head >= 0 then begin
-    let s = t.free_head in
-    t.free_head <- t.oid_of.(s);
-    s
-  end
-  else begin
-    let s = t.slots_used in
-    if s >= Array.length t.oid_of then begin
-      t.oid_of <- grown_copy t.oid_of s ~fill:(-1);
-      t.addr_of <- grown_copy t.addr_of s ~fill:(-1);
-      t.size_of <- grown_copy t.size_of s ~fill:0
-    end;
-    t.slots_used <- s + 1;
-    s
-  end
-
-let release_slot t s =
-  t.oid_of.(s) <- t.free_head;
-  t.free_head <- s
-
-(* Only valid on live slots (a dead slot's [oid_of] holds the freelist
-   link). *)
-let[@inline] obj_of_slot t s =
-  { oid = Oid.of_int t.oid_of.(s); addr = t.addr_of.(s); size = t.size_of.(s) }
-
-let slot_of_opt t oid =
+let is_live t oid =
   let i = Oid.to_int oid in
-  if i >= 0 && i < Array.length t.slot_of_oid then t.slot_of_oid.(i) else -1
+  i >= 0 && addr_of t i >= 0
 
-let slot_of t oid =
-  let s = slot_of_opt t oid in
-  if s < 0 then invalid_arg "Heap.get: unknown or dead object";
-  s
+let live_oid t oid =
+  if not (is_live t oid) then invalid_arg "Heap.get: unknown or dead object";
+  Oid.to_int oid
 
 let find t oid =
-  let s = slot_of_opt t oid in
-  if s < 0 then None else Some (obj_of_slot t s)
+  if is_live t oid then Some (obj_of t (Oid.to_int oid)) else None
 
-let get t oid = obj_of_slot t (slot_of t oid)
-let addr t oid = t.addr_of.(slot_of t oid)
-let size t oid = t.size_of.(slot_of t oid)
+let get t oid = obj_of t (live_oid t oid)
+let addr t oid = addr_of t (live_oid t oid)
+let size t oid = size_of t (live_oid t oid)
 let[@inline] bump_high_water t stop = if stop > t.high_water then t.high_water <- stop
 
 let alloc t ~addr ~size =
@@ -163,14 +120,9 @@ let alloc t ~addr ~size =
   Free_index.occupy t.free ~addr ~len:size;
   let oid = t.next_oid in
   t.next_oid <- oid + 1;
-  let s = new_slot t in
-  ensure_oid t oid;
-  t.slot_of_oid.(oid) <- s;
-  t.oid_of.(s) <- oid;
-  t.addr_of.(s) <- addr;
-  t.size_of.(s) <- size;
-  ensure_addr t addr;
-  t.slot_at.(addr) <- s;
+  Chunked.set t.ext (2 * oid) addr;
+  Chunked.set t.ext ((2 * oid) + 1) size;
+  Chunked.set t.oid_at addr oid;
   Bitset.add t.starts addr;
   t.nlive <- t.nlive + 1;
   t.live_words <- t.live_words + size;
@@ -186,31 +138,28 @@ let alloc t ~addr ~size =
   oid
 
 let free t oid =
-  if !T.Sink.active then begin
-    T.Counter.incr frees_c;
-    T.Counter.add freed_words_c (size t oid)
-  end;
-  let s = slot_of t oid in
-  let addr = t.addr_of.(s) and size = t.size_of.(s) in
+  let i = live_oid t oid in
+  let addr = addr_of t i and size = size_of t i in
   Free_index.release t.free ~addr ~len:size;
-  t.slot_of_oid.(Oid.to_int oid) <- -1;
-  release_slot t s;
-  t.slot_at.(addr) <- -1;
+  Chunked.set t.ext (2 * i) (-1);
+  Chunked.set t.oid_at addr (-1);
   Bitset.remove t.starts addr;
   t.nlive <- t.nlive - 1;
   t.live_words <- t.live_words - size;
   t.freed_total <- t.freed_total + size;
+  if !T.Sink.active then begin
+    T.Counter.incr frees_c;
+    T.Counter.add freed_words_c size
+  end;
   if has_listeners t then emit t (Free { oid; addr; size })
 
+(* A move to the object's own address is no move: no event, no
+   [moved_total], and no [heap.moves] count. *)
 let move t oid ~dst =
-  if !T.Sink.active then begin
-    T.Counter.incr moves_c;
-    T.Counter.add moved_words_c (size t oid)
-  end;
-  let s = slot_of t oid in
-  let src = t.addr_of.(s) in
+  let i = live_oid t oid in
+  let src = addr_of t i in
   if dst <> src then begin
-    let size = t.size_of.(s) in
+    let size = size_of t i in
     (* Free the source first so that a move into space overlapping the
        object's own old extent (a sliding move) is legal. *)
     Free_index.release t.free ~addr:src ~len:size;
@@ -221,14 +170,17 @@ let move t oid ~dst =
         Free_index.occupy t.free ~addr:src ~len:size;
         raise e
     end;
-    t.slot_at.(src) <- -1;
+    Chunked.set t.oid_at src (-1);
     Bitset.remove t.starts src;
-    t.addr_of.(s) <- dst;
-    ensure_addr t dst;
-    t.slot_at.(dst) <- s;
+    Chunked.set t.ext (2 * i) dst;
+    Chunked.set t.oid_at dst i;
     Bitset.add t.starts dst;
     t.moved_total <- t.moved_total + size;
     bump_high_water t (dst + size);
+    if !T.Sink.active then begin
+      T.Counter.incr moves_c;
+      T.Counter.add moved_words_c size
+    end;
     if has_listeners t then emit t (Move { oid; size; src; dst })
   end
 
@@ -244,7 +196,7 @@ let snapshot_live t =
     in
     let i = ref 0 in
     Bitset.iter t.starts (fun a ->
-        objs.(!i) <- obj_of_slot t t.slot_at.(a);
+        objs.(!i) <- obj_of t (oid_at t a);
         incr i);
     objs
   end
@@ -262,12 +214,12 @@ let fold_objects_in t ~start ~stop ~init ~f =
   let acc = ref init in
   let p = Bitset.pred t.starts (start - 1) in
   (if p >= 0 then begin
-     let s = t.slot_at.(p) in
-     if p + t.size_of.(s) > start then acc := f !acc (obj_of_slot t s)
+     let o = oid_at t p in
+     if p + size_of t o > start then acc := f !acc (obj_of t o)
    end);
   let rec go a =
     if a >= 0 && a < stop then begin
-      acc := f !acc (obj_of_slot t t.slot_at.(a));
+      acc := f !acc (obj_of t (oid_at t a));
       go (Bitset.succ t.starts (a + 1))
     end
   in
@@ -277,20 +229,20 @@ let fold_objects_in t ~start ~stop ~init ~f =
 let objects_in t ~start ~stop =
   List.rev (fold_objects_in t ~start ~stop ~init:[] ~f:(fun acc o -> o :: acc))
 
-(* Sum [weight addr slot] over the live objects intersecting
-   [start, stop), straight from the slot arrays, without materialising
+(* Sum [weight addr oid] over the live objects intersecting
+   [start, stop), straight from the extent array, without materialising
    object records: the possible straddler from just below [start],
    then a bitset walk of starts in [start, stop). *)
 let sum_objects_in t ~start ~stop weight =
   let total = ref 0 in
   let p = Bitset.pred t.starts (start - 1) in
   (if p >= 0 then begin
-     let s = t.slot_at.(p) in
-     if p + t.size_of.(s) > start then total := weight p s
+     let o = oid_at t p in
+     if p + size_of t o > start then total := weight p o
    end);
   let rec go a =
     if a >= 0 && a < stop then begin
-      total := !total + weight a t.slot_at.(a);
+      total := !total + weight a (oid_at t a);
       go (Bitset.succ t.starts (a + 1))
     end
   in
@@ -299,11 +251,11 @@ let sum_objects_in t ~start ~stop weight =
 
 (* Straddlers count fully. Exact, so the [cap] hint is not needed. *)
 let clear_cost t ~start ~stop ~cap:_ =
-  sum_objects_in t ~start ~stop (fun _ s -> t.size_of.(s))
+  sum_objects_in t ~start ~stop (fun _ o -> size_of t o)
 
 let occupied_words_in t ~start ~stop =
-  sum_objects_in t ~start ~stop (fun a s ->
-      min stop (a + t.size_of.(s)) - max start a)
+  sum_objects_in t ~start ~stop (fun a o ->
+      min stop (a + size_of t o) - max start a)
 
 let check_invariants t =
   Free_index.check_invariants t.free;
@@ -312,9 +264,11 @@ let check_invariants t =
       if o.addr < !prev_stop then failwith "Heap: overlapping objects";
       if Free_index.is_free t.free ~addr:o.addr ~len:o.size then
         failwith "Heap: live object marked free";
-      let s = slot_of_opt t o.oid in
-      if s < 0 || t.addr_of.(s) <> o.addr || t.slot_at.(o.addr) <> s then
-        failwith "Heap: slot-table drift";
+      if
+        (not (is_live t o.oid))
+        || addr_of t (Oid.to_int o.oid) <> o.addr
+        || oid_at t o.addr <> Oid.to_int o.oid
+      then failwith "Heap: extent-table drift";
       prev_stop := o.addr + o.size;
       total := !total + o.size;
       incr count);

@@ -1,7 +1,9 @@
-(** The heap kernel: flat slot arrays plus an address bitset over
-    {!Free_index}. O(1) alloc/free/move (plus the free-index update)
-    and allocation-free range accounting; [clear_cost] walks the
-    window's objects in the start bitset. Every mutation feeds the
+(** The heap kernel: an oid-indexed extent array, an address-to-oid
+    array and an address bitset over {!Free_index}. O(1)
+    alloc/free/move (plus the free-index update), which allocate
+    nothing while no listener is attached; [clear_cost] and
+    [occupied_words_in] walk the window's objects in the start bitset
+    without building object records. Every mutation feeds the
     [heap.*] telemetry counters. See {!Heap_intf.HEAP} for the
     interface documentation. *)
 

@@ -276,8 +276,36 @@ let test_pp_event () =
   Alcotest.(check string) "free" "free #43@[4509,4513)"
     (Fmt.str "%a" Heap.pp_event (Heap.Free o))
 
+(* The kernel's [heap.moves]/[heap.moved_words] counters agree with
+   [moved_total]: a move to the object's own address is not a move. *)
+let test_noop_move_not_counted () =
+  let module T = Pc_telemetry in
+  T.Registry.set_level T.Sink.Summary;
+  T.Registry.reset ();
+  Fun.protect
+    ~finally:(fun () -> T.Registry.set_level T.Sink.Off)
+    (fun () ->
+      let moves = T.Registry.counter "heap.moves"
+      and words = T.Registry.counter "heap.moved_words" in
+      let h = Heap.create () in
+      let a = Heap.alloc h ~addr:4 ~size:4 in
+      Heap.move h a ~dst:4;
+      Alcotest.(check int) "no-op move not counted" 0 (T.Counter.value moves);
+      Alcotest.(check int) "no-op move moved no words" 0
+        (T.Counter.value words);
+      Heap.move h a ~dst:16;
+      Alcotest.(check int) "real move counted" 1 (T.Counter.value moves);
+      Alcotest.(check int) "counters match moved_total" (Heap.moved_total h)
+        (T.Counter.value words))
+
 let () =
   Alcotest.run "heap"
     (suite "imperative" (module Heap)
     @ suite "reference" (module Heap_ref)
-    @ [ ("printer", [ Alcotest.test_case "pp_event" `Quick test_pp_event ]) ])
+    @ [
+        ("printer", [ Alcotest.test_case "pp_event" `Quick test_pp_event ]);
+        ( "counters",
+          [
+            Alcotest.test_case "no-op move" `Quick test_noop_move_not_counted;
+          ] );
+      ])
