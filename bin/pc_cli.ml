@@ -3,6 +3,7 @@
 
      pc bounds   -m 256M -n 1M -c 50          closed-form bounds
      pc figure   1|2|3                        CSV series of a figure
+     pc experiment sim-lower --small          a paper table (none = all)
      pc simulate --program pf --manager compacting -m 16K -n 64 -c 8
      pc diagram  -m 256 -n 16                 ASCII heap rendering
      pc managers                              list known managers
@@ -10,6 +11,7 @@
 
 open Pc_core
 open Cmdliner
+module Json = Pc.Json
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing                                            *)
@@ -35,23 +37,41 @@ let size_conv =
   let print ppf v = Pc.Word.pp_count ppf v in
   Arg.conv (parse, print)
 
-let m_arg =
+(* -m, -n, -c and --cs: every command takes the same flag, with its own
+   default scale. *)
+let m_arg default =
   Arg.(
-    value
-    & opt size_conv (256 * Pc.Bounds.Params.mb)
+    value & opt size_conv default
     & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M (K/M/G suffixes).")
 
-let n_arg =
+let n_arg default =
   Arg.(
-    value
-    & opt size_conv Pc.Bounds.Params.mb
+    value & opt size_conv default
     & info [ "n" ] ~docv:"WORDS"
         ~doc:"Largest object size n, a power of two (K/M/G suffixes).")
 
-let c_arg =
+let c_arg default =
   Arg.(
-    value & opt float 50.0
-    & info [ "c" ] ~docv:"C" ~doc:"Compaction bound: at most 1/c of allocated words may be moved.")
+    value & opt float default
+    & info [ "c" ] ~docv:"C"
+        ~doc:"Compaction bound: at most 1/c of allocated words may be moved.")
+
+let cs_arg default =
+  Arg.(
+    value
+    & opt (list float) default
+    & info [ "cs" ] ~docv:"C,C,..." ~doc:"Compaction bounds, one PF job each.")
+
+(* [conv] restricted to the values [ok] accepts; [what] names them in
+   the error message. *)
+let restrict conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
 
 let manager_arg =
   let keys = String.concat ", " (Pc.Managers.keys ()) in
@@ -129,6 +149,104 @@ let json_arg =
            The output is deterministic (no wall-clock fields), so it is \
            diffable across runs.")
 
+(* The sweep flags, shared by every command that runs the engine. *)
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt (restrict int ~what:"a positive count" (fun j -> j >= 1)) 1
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:"Execute sweep points on $(docv) parallel worker domains.")
+
+let no_cache_arg =
+  Arg.(
+    value & flag
+    & info [ "no-cache" ]
+        ~doc:
+          "Always execute; neither read nor write the result cache, and \
+           skip the checkpoint journal — the sweep touches no on-disk \
+           state.")
+
+let cache_dir_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "cache-dir" ] ~docv:"DIR"
+        ~doc:
+          "Result cache directory (default: $(b,PC_CACHE_DIR) or \
+           $(b,_pc_cache)).")
+
+let resume_arg =
+  Arg.(
+    value & flag
+    & info [ "resume" ]
+        ~doc:
+          "Replay outcomes journaled by a previous (possibly killed) run \
+           of the same sweep from $(b,<cache-dir>/sweeps/), re-executing \
+           only the missing points. Without this flag the journal is \
+           truncated and the sweep starts clean.")
+
+let retries_arg =
+  Arg.(
+    value
+    & opt (restrict int ~what:"a non-negative count" (fun r -> r >= 0)) 2
+    & info [ "retries" ] ~docv:"N"
+        ~doc:
+          "Retry a job up to $(docv) times after a transient failure \
+           (worker crash, timeout), with exponential backoff and seeded \
+           jitter. Deterministic failures are never retried past one \
+           reproduction probe.")
+
+let timeout_arg =
+  Arg.(
+    value
+    & opt
+        (some (restrict float ~what:"a positive duration" (fun t -> t > 0.)))
+        None
+    & info [ "timeout" ] ~docv:"SECONDS"
+        ~doc:
+          "Per-attempt wall-clock budget; an attempt exceeding it counts \
+           as a transient failure and is retried.")
+
+let inject_faults_arg =
+  let faults_conv =
+    let parse s =
+      Result.map_error (fun msg -> `Msg msg) (Pc.Exec.Faults.of_string s)
+    in
+    Arg.conv (parse, Fmt.using Pc.Exec.Faults.to_string Fmt.string)
+  in
+  Arg.(
+    value
+    & opt (some faults_conv) None
+    & info [ "inject-faults" ] ~docv:"SPEC"
+        ~doc:
+          "Chaos mode: inject seeded faults at job and cache boundaries, \
+           e.g. $(b,crash=0.3,delay=0.15,trunc=0.2,corrupt=0.2,seed=7); \
+           exits 1 if any point is left unrecovered. Under $(b,pc serve), \
+           $(b,wkill=0.3) SIGKILLs workers mid-job (the supervisor \
+           restarts them) and $(b,kill-after=20) kills the whole daemon \
+           after 20 jobs (a restart recovers).")
+
+let sweep_opts_arg =
+  let make jobs no_cache cache_dir resume retries timeout faults audit
+      failures_dir =
+    {
+      Experiment.jobs;
+      no_cache;
+      cache_dir;
+      resume;
+      retries;
+      timeout;
+      faults;
+      audit;
+      failures_dir;
+    }
+  in
+  Term.(
+    const make $ jobs_arg $ no_cache_arg $ cache_dir_arg $ resume_arg
+    $ retries_arg $ timeout_arg $ inject_faults_arg $ audit_arg
+    $ failures_dir_arg)
+
 (* Runs [f] at the requested telemetry level, then lands the snapshot:
    to [out] as schema-tagged JSON, or rendered on stdout. A violation
    escapes as an exception (exit code 3) without a snapshot — the repro
@@ -145,14 +263,14 @@ let with_telemetry level out f =
            ~finally:(fun () -> close_out oc)
            (fun () ->
              output_string oc
-               (Pc.Exec.Json.to_string (Pc.Telemetry.Snapshot.to_json snap));
+               (Json.to_string (Pc.Telemetry.Snapshot.to_json snap));
              output_char oc '\n');
          Fmt.epr "telemetry snapshot written to %s@." path
      | None -> Fmt.pr "@.%a@." (fun ppf -> Pc.Telemetry.Report.pp ppf) snap);
   result
 
-(* The exit-code taxonomy shared with bench (documented in every
-   subcommand's --help; CI keys off code 3). *)
+(* The exit-code taxonomy (documented in every subcommand's --help;
+   CI keys off code 3). *)
 let exits =
   [
     Cmd.Exit.info Pc.Audit.Report.exit_ok ~doc:"on success.";
@@ -202,44 +320,37 @@ let bounds_cmd =
   in
   Cmd.v
     (Cmd.info "bounds" ~exits ~doc:"Print the closed-form bounds for M, n, c.")
-    Term.(const run $ m_arg $ n_arg $ c_arg)
+    Term.(
+      const run
+      $ m_arg (256 * Pc.Bounds.Params.mb)
+      $ n_arg Pc.Bounds.Params.mb $ c_arg 50.0)
 
 (* ------------------------------------------------------------------ *)
 (* pc figure                                                          *)
 
 let figure_cmd =
-  let run which =
-    match which with
+  let run = function
     | 1 ->
         Fmt.pr "c,cohen_petrank,bendersky_petrank,trivial@.";
         List.iter
-          (fun c ->
-            let { Pc.Bounds.Params.m; n; _ } = Pc.Bounds.Params.fig1 ~c in
-            Fmt.pr "%g,%.4f,%.4f,1.0@." c
-              (Pc.Bounds.Cohen_petrank.waste_factor ~m ~n ~c)
-              (Pc.Bounds.Bendersky_petrank.waste_factor ~m ~n ~c))
-          Pc.Bounds.Params.fig1_cs
+          (fun (c, ours, bp) -> Fmt.pr "%g,%.4f,%.4f,1.0@." c ours bp)
+          (Experiment.fig1_series ())
     | 2 ->
         Fmt.pr "n,cohen_petrank@.";
         List.iter
-          (fun n ->
-            let { Pc.Bounds.Params.m; n; c } = Pc.Bounds.Params.fig2 ~n in
-            Fmt.pr "%d,%.4f@." n (Pc.Bounds.Cohen_petrank.waste_factor ~m ~n ~c))
-          Pc.Bounds.Params.fig2_ns
-    | 3 ->
+          (fun (n, h) -> Fmt.pr "%d,%.4f@." n h)
+          (Experiment.fig2_series ())
+    | _ ->
         Fmt.pr "c,theorem2,prior_best@.";
         List.iter
-          (fun c ->
-            let { Pc.Bounds.Params.m; n; _ } = Pc.Bounds.Params.fig3 ~c in
-            if Pc.Bounds.Theorem2.applicable ~n ~c then
-              Fmt.pr "%g,%.4f,%.4f@." c
-                (Pc.Bounds.Theorem2.waste_factor ~m ~n ~c)
-                (Pc.Bounds.Theorem2.prior_best ~m ~n ~c /. float_of_int m))
-          Pc.Bounds.Params.fig3_cs
-    | k -> Fmt.epr "unknown figure %d (expected 1, 2 or 3)@." k
+          (fun (c, t2, prior) -> Fmt.pr "%g,%.4f,%.4f@." c t2 prior)
+          (Experiment.fig3_series ())
   in
   let which =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"FIGURE")
+    Arg.(
+      required
+      & pos 0 (some (enum [ ("1", 1); ("2", 2); ("3", 3) ])) None
+      & info [] ~docv:"FIGURE")
   in
   Cmd.v
     (Cmd.info "figure" ~exits
@@ -249,25 +360,45 @@ let figure_cmd =
 (* ------------------------------------------------------------------ *)
 (* pc simulate                                                        *)
 
+(* The workloads `pc simulate` and `pc trace` run, by --program name;
+   e.g. --program "script:a x 16; a y 8; f x; a z 4". *)
+let workload ?seed ~m ~n ~c = function
+  | "pf" -> snd (Pc.Pf.program ~m ~n ~c ())
+  | "robson" -> Pc.Robson_pr.program ~m ~n ()
+  | "pw" -> Pc.Pw.program ~m ~n ()
+  | "sawtooth" -> Pc.Sawtooth.program ~m ~n ()
+  | "random" ->
+      Pc.Random_workload.program ?seed ~m
+        ~dist:
+          (Pc.Random_workload.Pow2
+             { lo_log = 0; hi_log = Pc.Word.log2_floor n })
+        ~target_live:(m / 2) ()
+  | p when String.starts_with ~prefix:"script:" p ->
+      let text = String.sub p 7 (String.length p - 7) in
+      Pc.Script.program (Pc.Script.parse text)
+  | p ->
+      Fmt.invalid_arg
+        "unknown program %s (expected pf, robson, pw, sawtooth, random, \
+         script:...)"
+        p
+
 let simulate_cmd =
   let run program manager m n c seed audit audit_every broken_budget
       failures_dir telemetry telemetry_out json =
     let mgr = Pc.Managers.construct_exn manager in
     let emit o =
       if json then
-        Fmt.pr "%s@." (Pc.Exec.Json.to_string (Pc.Exec.Cache.outcome_to_json o))
+        Fmt.pr "%s@." (Json.to_string (Pc.Exec.Cache.outcome_to_json o))
       else Fmt.pr "%a@." Pc.Runner.pp_outcome o
     in
     (* --broken-budget models a manager whose compaction-budget debit
        is broken: the enforced budget is lifted while the oracle keeps
        auditing the declared c — the audit drill in CI. *)
     let budgeted ?theory_h prog =
-      if broken_budget then
-        Pc.Runner.run ~audit_c:c ~audit ~audit_every ?theory_h ?failures_dir
-          ~program:prog ~manager:mgr ()
-      else
-        Pc.Runner.run ~c ~audit ~audit_every ?theory_h ?failures_dir
-          ~program:prog ~manager:mgr ()
+      Pc.Runner.run
+        ?c:(if broken_budget then None else Some c)
+        ~audit_c:c ~audit ~audit_every ?theory_h ?failures_dir ~program:prog
+        ~manager:mgr ()
     in
     let unbudgeted prog =
       Pc.Runner.run ~audit ~audit_every ?failures_dir ~program:prog
@@ -290,29 +421,9 @@ let simulate_cmd =
         if not json then
           Fmt.pr "theory (non-moving managers): HS/M >= %.3f@."
             (Pc.Bounds.Robson.waste_factor_pow2 ~m ~n)
-    | "random" ->
-        let prog =
-          Pc.Random_workload.program ~seed ~m
-            ~dist:(Pc.Random_workload.Pow2 { lo_log = 0; hi_log = Pc.Word.log2_floor n })
-            ~target_live:(m / 2) ()
-        in
-        emit (budgeted prog)
-    | "pw" ->
-        let prog = Pc.Pw.program ~m ~n () in
-        emit (budgeted prog)
-    | "sawtooth" ->
-        let prog = Pc.Sawtooth.program ~m ~n () in
-        emit (budgeted prog)
-    | p when String.length p > 7 && String.sub p 0 7 = "script:" ->
-        (* e.g. --program "script:a x 16; a y 8; f x; a z 4" *)
-        let text = String.sub p 7 (String.length p - 7) in
-        let prog = Pc.Script.program (Pc.Script.parse text) in
-        emit (unbudgeted prog)
-    | p ->
-        Fmt.invalid_arg
-          "unknown program %s (expected pf, robson, pw, sawtooth, random, \
-           script:...)"
-          p
+    | p when String.starts_with ~prefix:"script:" p ->
+        emit (unbudgeted (workload ~seed ~m ~n ~c p))
+    | p -> emit (budgeted (workload ~seed ~m ~n ~c p))
   in
   let program_arg =
     Arg.(
@@ -324,19 +435,6 @@ let simulate_cmd =
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-  in
-  let m_small =
-    Arg.(
-      value & opt size_conv (1 lsl 14)
-      & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M.")
-  in
-  let n_small =
-    Arg.(
-      value & opt size_conv (1 lsl 6)
-      & info [ "n" ] ~docv:"WORDS" ~doc:"Largest object size n (power of two).")
-  in
-  let c_small =
-    Arg.(value & opt float 8.0 & info [ "c" ] ~docv:"C" ~doc:"Compaction bound.")
   in
   let broken_budget_arg =
     Arg.(
@@ -353,8 +451,10 @@ let simulate_cmd =
     (Cmd.info "simulate" ~exits
        ~doc:"Run an adversary or random workload against a manager.")
     Term.(
-      const run $ program_arg $ manager_arg $ m_small $ n_small $ c_small
-      $ seed_arg $ audit_arg $ audit_every_arg
+      const run $ program_arg $ manager_arg
+      $ m_arg (1 lsl 14)
+      $ n_arg (1 lsl 6)
+      $ c_arg 8.0 $ seed_arg $ audit_arg $ audit_every_arg
       $ broken_budget_arg $ failures_dir_arg $ telemetry_arg
       $ telemetry_out_arg $ json_arg)
 
@@ -381,20 +481,10 @@ let diagram_cmd =
            }
          heap)
   in
-  let m_small =
-    Arg.(
-      value & opt size_conv 256
-      & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M.")
-  in
-  let n_small =
-    Arg.(
-      value & opt size_conv 16
-      & info [ "n" ] ~docv:"WORDS" ~doc:"Largest object size n (power of two).")
-  in
   Cmd.v
     (Cmd.info "diagram" ~exits
        ~doc:"Render the heap Robson's adversary leaves behind, as ASCII.")
-    Term.(const run $ m_small $ n_small $ manager_arg)
+    Term.(const run $ m_arg 256 $ n_arg 16 $ manager_arg)
 
 (* ------------------------------------------------------------------ *)
 (* pc trace                                                           *)
@@ -402,19 +492,7 @@ let diagram_cmd =
 let trace_cmd =
   let run program manager m n c stats_only =
     let mgr = Pc.Managers.construct_exn manager in
-    let prog =
-      match program with
-      | "pf" -> snd (Pc.Pf.program ~m ~n ~c ())
-      | "robson" -> Pc.Robson_pr.program ~m ~n ()
-      | "pw" -> Pc.Pw.program ~m ~n ()
-      | "random" ->
-          Pc.Random_workload.program ~m
-            ~dist:
-              (Pc.Random_workload.Pow2
-                 { lo_log = 0; hi_log = Pc.Word.log2_floor n })
-            ~target_live:(m / 2) ()
-      | p -> Fmt.invalid_arg "unknown program %s" p
-    in
+    let prog = workload ~m ~n ~c program in
     let ctx = Pc.Ctx.create ~budget:(Pc.Budget.create ~c) ~live_bound:m () in
     let trace = Pc.Trace.create () in
     Pc.Trace.record trace (Pc.Ctx.heap ctx);
@@ -427,20 +505,9 @@ let trace_cmd =
     Arg.(
       value & opt string "robson"
       & info [ "program" ] ~docv:"NAME"
-          ~doc:"Workload: pf, robson, pw or random.")
-  in
-  let m_small =
-    Arg.(
-      value & opt size_conv (1 lsl 10)
-      & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M.")
-  in
-  let n_small =
-    Arg.(
-      value & opt size_conv (1 lsl 5)
-      & info [ "n" ] ~docv:"WORDS" ~doc:"Largest object size n (power of two).")
-  in
-  let c_small =
-    Arg.(value & opt float 8.0 & info [ "c" ] ~docv:"C" ~doc:"Compaction bound.")
+          ~doc:
+            "Workload: pf, robson, pw, sawtooth, random, or \
+             'script:a x 16; f x; ...'.")
   in
   let stats_arg =
     Arg.(
@@ -453,72 +520,31 @@ let trace_cmd =
          "Dump a replayable heap event trace (or its statistics) of a \
           workload against a manager.")
     Term.(
-      const run $ program_arg $ manager_arg $ m_small $ n_small $ c_small
-      $ stats_arg)
+      const run $ program_arg $ manager_arg
+      $ m_arg (1 lsl 10)
+      $ n_arg (1 lsl 5)
+      $ c_arg 8.0 $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* pc sweep                                                           *)
 
 let sweep_cmd =
-  let run manager m n cs jobs no_cache cache_dir resume retries timeout
-      inject_faults audit failures_dir telemetry telemetry_out json =
+  let run manager m n cs sweep telemetry telemetry_out json =
     (* Each (c, manager) point is a deterministic job spec: points run
        on the engine's Domain pool, completed points are served from
        the on-disk result cache on re-runs, and every outcome is
        journaled as it lands so a killed sweep resumes with --resume. *)
-    let module Spec = Pc.Exec.Spec in
     let module Engine = Pc.Exec.Engine in
     let module Checkpoint = Pc.Exec.Checkpoint in
-    let faults =
-      match inject_faults with
-      | None -> None
-      | Some spec -> (
-          match Pc.Exec.Faults.of_string spec with
-          | Ok f -> Some f
-          | Error msg ->
-              Fmt.epr "bad --inject-faults spec: %s@." msg;
-              exit 2)
-    in
-    let cache =
-      if no_cache then None else Some (Pc.Exec.Cache.create ?dir:cache_dir ())
-    in
-    let specs = List.map (fun c -> Spec.pf ~c ~manager ~m ~n ()) cs in
-    (* --no-cache means "leave no trace and read no prior state": it
-       skips the checkpoint journal along with the result cache, so a
-       golden-test or one-shot run touches no shared on-disk state. *)
-    let lock, checkpoint =
-      if no_cache then (None, None)
-      else begin
-        let journal_dir =
-          Checkpoint.default_dir
-            ~cache_dir:
-              (match cache_dir with
-              | Some d -> d
-              | None -> Pc.Exec.Cache.default_dir ())
-        in
-        (* One writer per journal: a second `pc sweep` (or a daemon
-           replaying the same sweep) on this state fails fast instead
-           of interleaving journal appends. *)
-        let lock =
-          Pc.Exec.Lockfile.acquire
-            (Checkpoint.path ~dir:journal_dir specs ^ ".lock")
-        in
-        let cp = Checkpoint.open_ ~resume ~dir:journal_dir specs in
-        if resume && Checkpoint.loaded cp > 0 then
-          Fmt.pr "resuming: %d of %d outcome(s) journaled in %s@."
-            (Checkpoint.loaded cp) (List.length specs) (Checkpoint.path_of cp);
-        (Some lock, Some cp)
-      end
+    let specs = List.map (fun c -> Pc.Exec.Spec.pf ~c ~manager ~m ~n ()) cs in
+    let on_journal cp =
+      if Checkpoint.loaded cp > 0 then
+        Fmt.pr "resuming: %d of %d outcome(s) journaled in %s@."
+          (Checkpoint.loaded cp) (List.length specs) (Checkpoint.path_of cp)
     in
     let results, summary =
-      Fun.protect
-        ~finally:(fun () ->
-          Option.iter Checkpoint.close checkpoint;
-          Option.iter Pc.Exec.Lockfile.release lock)
-        (fun () ->
-          with_telemetry telemetry telemetry_out @@ fun () ->
-          Engine.run ~jobs ?cache ?checkpoint ~retries ?timeout ?faults ~audit
-            ?failures_dir specs)
+      with_telemetry telemetry telemetry_out @@ fun () ->
+      Experiment.run_sweep ~on_journal sweep specs
     in
     let source (r : Engine.job_result) =
       if r.from_cache then "cache"
@@ -526,7 +552,6 @@ let sweep_cmd =
       else "run"
     in
     if json then begin
-      let module Json = Pc.Exec.Json in
       let points =
         List.map2
           (fun c (r : Engine.job_result) ->
@@ -549,23 +574,13 @@ let sweep_cmd =
                     ]))
           cs results
       in
-      (* No wall-clock field: the JSON form is diffable across runs. *)
-      let summary_json =
-        Json.Obj
-          [
-            ("total", Json.Int summary.total);
-            ("executed", Json.Int summary.executed);
-            ("cached", Json.Int summary.cached);
-            ("resumed", Json.Int summary.resumed);
-            ("recovered", Json.Int summary.recovered);
-            ("retried", Json.Int summary.retried);
-            ("failed", Json.Int summary.failed);
-            ("violations", Json.Int summary.violations);
-          ]
-      in
       Fmt.pr "%s@."
         (Json.to_string
-           (Json.Obj [ ("points", Json.List points); ("summary", summary_json) ]))
+           (Json.Obj
+              [
+                ("points", Json.List points);
+                ("summary", Json.Obj (Experiment.summary_fields summary));
+              ]))
     end
     else begin
       Fmt.pr "%6s %4s %10s %10s %8s %10s %7s@." "c" "l" "theory h" "HS/M"
@@ -582,83 +597,7 @@ let sweep_cmd =
       Fmt.pr "%a@." Engine.pp_summary summary
     end;
     if summary.violations > 0 then exit Pc.Audit.Report.exit_violation;
-    if faults <> None && summary.failed > 0 then exit 1
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Execute sweep points on $(docv) parallel worker domains.")
-  in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Always execute; neither read nor write the result cache, and \
-             skip the checkpoint journal — the sweep touches no on-disk \
-             state.")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Result cache directory (default: $(b,PC_CACHE_DIR) or \
-             $(b,_pc_cache)).")
-  in
-  let resume_arg =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay outcomes journaled by a previous (possibly killed) run \
-             of the same sweep from $(b,<cache-dir>/sweeps/), re-executing \
-             only the missing points. Without this flag the journal is \
-             truncated and the sweep starts clean.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry a job up to $(docv) times after a transient failure \
-             (worker crash, timeout), with exponential backoff and seeded \
-             jitter. Deterministic failures are never retried past one \
-             reproduction probe.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-attempt wall-clock budget; an attempt exceeding it counts \
-             as a transient failure and is retried.")
-  in
-  let inject_faults_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "inject-faults" ] ~docv:"SPEC"
-          ~doc:
-            "Chaos mode: inject seeded faults at job and cache boundaries, \
-             e.g. $(b,crash=0.3,delay=0.15,trunc=0.2,corrupt=0.2,seed=7). \
-             Exits nonzero if any point is left unrecovered.")
-  in
-  let m_small =
-    Arg.(
-      value & opt size_conv (1 lsl 14)
-      & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M.")
-  in
-  let n_small =
-    Arg.(
-      value & opt size_conv (1 lsl 7)
-      & info [ "n" ] ~docv:"WORDS" ~doc:"Largest object size n (power of two).")
-  in
-  let cs_arg =
-    Arg.(
-      value
-      & opt (list float) [ 8.0; 16.0; 32.0; 64.0 ]
-      & info [ "cs" ] ~docv:"C,C,..." ~doc:"Compaction bounds to sweep.")
+    if sweep.faults <> None && summary.failed > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "sweep" ~exits
@@ -667,10 +606,50 @@ let sweep_cmd =
           in parallel, with result caching, checkpoint/resume and optional \
           fault injection.")
     Term.(
-      const run $ manager_arg $ m_small $ n_small $ cs_arg $ jobs_arg
-      $ no_cache_arg $ cache_dir_arg $ resume_arg $ retries_arg $ timeout_arg
-      $ inject_faults_arg $ audit_arg $ failures_dir_arg $ telemetry_arg
-      $ telemetry_out_arg $ json_arg)
+      const run $ manager_arg
+      $ m_arg (1 lsl 14)
+      $ n_arg (1 lsl 7)
+      $ cs_arg Pc.Bounds.Params.sim_cs
+      $ sweep_opts_arg $ telemetry_arg $ telemetry_out_arg $ json_arg)
+
+(* ------------------------------------------------------------------ *)
+(* pc experiment                                                      *)
+
+let experiment_cmd =
+  let run sweep small telemetry telemetry_out json selected =
+    let code =
+      with_telemetry telemetry telemetry_out @@ fun () ->
+      Experiment.run ~sweep ~small ~json selected
+    in
+    if code <> Pc.Audit.Report.exit_ok then exit code
+  in
+  let small_arg =
+    Arg.(
+      value & flag
+      & info [ "small" ]
+          ~doc:"Toy scales: every table in seconds (smoke runs, CI).")
+  in
+  let names_arg =
+    let names = List.map (fun n -> (n, n)) Experiment.names in
+    Arg.(
+      value
+      & pos_all (enum names) []
+      & info [] ~docv:"NAME"
+          ~doc:
+            ("Experiments to run, in this order whatever the order given \
+              (default: all): " ^ String.concat ", " Experiment.names ^ "."))
+  in
+  Cmd.v
+    (Cmd.info "experiment" ~exits
+       ~doc:
+         "Print the paper's figures (fig1-fig3) and the simulated tables \
+          (S1-S4, the simulated Figure 1, the ablations). Every simulated \
+          point runs through the sweep engine, like $(b,pc sweep). With \
+          $(b,--json), print one document instead: each sweep's summary \
+          (no wall-clock) and the zoo rows.")
+    Term.(
+      const run $ sweep_opts_arg $ small_arg $ telemetry_arg
+      $ telemetry_out_arg $ json_arg $ names_arg)
 
 (* ------------------------------------------------------------------ *)
 (* pc replay                                                          *)
@@ -717,9 +696,9 @@ let report_cmd =
           exit Pc.Audit.Report.exit_usage
     in
     let parsed =
-      match Pc.Exec.Json.of_string text with
+      match Json.of_string text with
       | j -> Pc.Telemetry.Snapshot.of_json j
-      | exception Pc.Exec.Json.Parse_error msg -> Error ("bad JSON: " ^ msg)
+      | exception Json.Parse_error msg -> Error ("bad JSON: " ^ msg)
     in
     match parsed with
     | Error msg ->
@@ -736,7 +715,7 @@ let report_cmd =
       & info [] ~docv:"SNAPSHOT"
           ~doc:
             "A telemetry snapshot (schema $(b,pc-telemetry/1)) written by \
-             $(b,--telemetry-out) or the bench harness.")
+             $(b,--telemetry-out).")
   in
   let top_arg =
     Arg.(
@@ -761,15 +740,6 @@ let report_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* pc serve / submit / health / drain / load                          *)
-
-let faults_of_opt = function
-  | None -> None
-  | Some spec -> (
-      match Pc.Exec.Faults.of_string spec with
-      | Ok f -> Some f
-      | Error msg ->
-          Fmt.epr "bad --inject-faults spec: %s@." msg;
-          exit Pc.Audit.Report.exit_usage)
 
 let default_state_dir = "_pc_serve"
 let default_socket state_dir = Filename.concat state_dir "pc.sock"
@@ -818,12 +788,11 @@ let with_client socket f =
       exit Pc.Audit.Report.exit_usage
 
 let serve_cmd =
-  let run socket state_dir workers queue_cap tenant_cap inject_faults
-      telemetry telemetry_out =
+  let run socket state_dir workers queue_cap tenant_cap faults telemetry
+      telemetry_out =
     let socket =
       match socket with Some s -> s | None -> default_socket state_dir
     in
-    let faults = faults_of_opt inject_faults in
     let cfg =
       Pc.Serve.Server.config ~workers ~queue_cap ~tenant_cap ?faults ~socket
         ~state_dir ()
@@ -865,17 +834,6 @@ let serve_cmd =
       & info [ "tenant-cap" ] ~docv:"N"
           ~doc:"The same bound per tenant (quota isolation).")
   in
-  let inject_faults_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject-faults" ] ~docv:"SPEC"
-          ~doc:
-            "Chaos mode shared by all workers, e.g. \
-             $(b,wkill=0.3,seed=7) to SIGKILL workers mid-job (the \
-             supervisor restarts them) or $(b,kill-after=20) to kill \
-             the whole daemon after 20 jobs (restart recovers).")
-  in
   Cmd.v
     (Cmd.info "serve" ~exits
        ~doc:
@@ -896,14 +854,7 @@ let submit_cmd =
       if not local then begin
         (* Fail fast (usage code) when there is no daemon at all; once
            one was there, submit_and_wait rides out restarts. *)
-        (match Pc.Serve.Client.connect socket with
-        | conn ->
-            Pc.Serve.Client.close conn;
-            ()
-        | exception Unix.Unix_error ((ECONNREFUSED | ENOENT) as e, _, _) ->
-            Fmt.epr "pc: cannot connect to %s: %s (is `pc serve` running?)@."
-              socket (Unix.error_message e);
-            exit Pc.Audit.Report.exit_usage);
+        with_client socket ignore;
         k socket
       end
       else begin
@@ -931,18 +882,14 @@ let submit_cmd =
     let id, total, known = (r.Pc.Serve.Client.id, r.total, r.known) in
     let state, progress = (r.state, r.progress) in
     let results = r.outcomes in
-    let violations =
-      List.filter
-        (fun (_, r) ->
-          match r with
-          | Error msg ->
-              String.length msg >= 16
-              && String.sub msg 0 16 = "oracle violation"
-          | Ok _ -> false)
+    let violated =
+      List.exists
+        (function
+          | _, Error msg -> String.starts_with ~prefix:"oracle violation" msg
+          | _, Ok _ -> false)
         results
     in
     if json then begin
-      let module Json = Pc.Exec.Json in
       let jresults =
         List.map
           (fun (key, r) ->
@@ -979,20 +926,7 @@ let submit_cmd =
           | Error msg -> Fmt.pr "  %-48s FAILED: %s@." key msg)
         results
     end;
-    if violations <> [] then exit Pc.Audit.Report.exit_violation
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Per-job transient-failure retry budget on the server.")
-  in
-  let timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-attempt wall-clock budget on the server.")
+    if violated then exit Pc.Audit.Report.exit_violation
   in
   let local_arg =
     Arg.(
@@ -1004,22 +938,6 @@ let submit_cmd =
              $(b,pc serve) needed. Output is deterministic (everything \
              executes, nothing is cached), so it is diffable.")
   in
-  let m_small =
-    Arg.(
-      value & opt size_conv (1 lsl 12)
-      & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M.")
-  in
-  let n_small =
-    Arg.(
-      value & opt size_conv (1 lsl 6)
-      & info [ "n" ] ~docv:"WORDS" ~doc:"Largest object size n (power of two).")
-  in
-  let cs_arg =
-    Arg.(
-      value
-      & opt (list float) [ 8.0; 16.0 ]
-      & info [ "cs" ] ~docv:"C,C,..." ~doc:"Compaction bounds to submit.")
-  in
   Cmd.v
     (Cmd.info "submit" ~exits
        ~doc:
@@ -1028,14 +946,16 @@ let submit_cmd =
           and print the journaled results. Exits 3 if any job died on an \
           oracle violation.")
     Term.(
-      const run $ client_socket_arg $ tenant_arg $ manager_arg $ m_small
-      $ n_small $ cs_arg $ retries_arg $ timeout_arg $ local_arg $ json_arg)
+      const run $ client_socket_arg $ tenant_arg $ manager_arg
+      $ m_arg (1 lsl 12)
+      $ n_arg (1 lsl 6)
+      $ cs_arg [ 8.0; 16.0 ]
+      $ retries_arg $ timeout_arg $ local_arg $ json_arg)
 
 let health_cmd =
   let run socket json =
     let h = with_client socket Pc.Serve.Client.health in
     if json then begin
-      let module Json = Pc.Exec.Json in
       Fmt.pr "%s@."
         (Json.to_string
            (Json.Obj
@@ -1142,11 +1062,6 @@ let load_cmd =
       value & opt int 4
       & info [ "jobs-per" ] ~docv:"N" ~doc:"Jobs per submission.")
   in
-  let m_small =
-    Arg.(
-      value & opt size_conv (1 lsl 10)
-      & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M per job.")
-  in
   Cmd.v
     (Cmd.info "load" ~exits
        ~doc:
@@ -1155,7 +1070,8 @@ let load_cmd =
           rounds and worker restarts.")
     Term.(
       const run $ client_socket_arg $ clients_arg $ submissions_arg
-      $ jobs_per_arg $ manager_arg $ m_small)
+      $ jobs_per_arg $ manager_arg
+      $ m_arg (1 lsl 10))
 
 (* ------------------------------------------------------------------ *)
 (* pc managers                                                        *)
@@ -1196,6 +1112,7 @@ let () =
         figure_cmd;
         simulate_cmd;
         sweep_cmd;
+        experiment_cmd;
         serve_cmd;
         submit_cmd;
         health_cmd;

@@ -119,7 +119,7 @@ exception
   }
 
 (* [stage1_steps] and [maintain_density] exist for ablation studies
-   (bench/main.exe ablation): they deliberately weaken the adversary to
+   (pc experiment ablation): they deliberately weaken the adversary to
    measure how much each of the paper's two mechanisms — the Robson
    stage and the density maintenance — contributes to the bound. *)
 let program ?ell ?observe ?(audit = false) ?stage1_steps

@@ -45,11 +45,6 @@ let level_of_string = function
            (Fmt.str "unknown audit level %S (expected off, sampled, full or \
                      differential)" s))
 
-let level_of_string_exn s =
-  match level_of_string s with
-  | Ok l -> l
-  | Error (`Msg m) -> invalid_arg ("Oracle.level_of_string_exn: " ^ m)
-
 let pp_level ppf l = Fmt.string ppf (level_to_string l)
 
 type violation = { oracle : string; seq : int; detail : string }

@@ -33,7 +33,6 @@ val level_to_string : level -> string
 val level_of_string : string -> (level, [ `Msg of string ]) result
 (** Accepts "off", "sampled", "full", "differential"/"diff". *)
 
-val level_of_string_exn : string -> level
 val pp_level : Format.formatter -> level -> unit
 
 type violation = {

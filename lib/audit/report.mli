@@ -70,7 +70,7 @@ val pp_bundle : Format.formatter -> bundle -> unit
 
 (** {1 Exit-code taxonomy}
 
-    Shared by the [pc] and [bench] CLIs so CI can key off the cause:
+    Shared by every [pc] command so CI can key off the cause:
     [0] success, [2] usage error, [3] oracle violation, [4] internal
     error. *)
 

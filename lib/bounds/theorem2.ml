@@ -14,7 +14,7 @@
    assembly above is a documented reconstruction (DESIGN.md,
    "Substitutions"). The shape — an improvement over the prior best
    min((c+1)M, Robson's doubled bound) for mid-range c — is what the
-   Figure 3 bench checks. *)
+   Figure 3 experiment checks. *)
 
 let coefficients ~c ~log_n =
   if c <= 1.0 then invalid_arg "Theorem2.coefficients: c <= 1";

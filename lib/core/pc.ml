@@ -39,10 +39,12 @@ module Audit = struct
   module Report = Pc_audit.Report
 end
 
+(* The JSON reader/writer shared by every serialised record *)
+module Json = Pc_json.Json
+
 (* The sweep engine: deterministic job specs, a Domain worker pool,
    and the content-addressed result cache *)
 module Exec = struct
-  module Json = Pc_exec.Json
   module Spec = Pc_exec.Spec
   module Pool = Pc_exec.Pool
   module Cache = Pc_exec.Cache

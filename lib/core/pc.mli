@@ -12,7 +12,8 @@
     - the interaction model and adversaries: {!Driver}, {!Program},
       {!Runner}, {!Robson_pr}, {!Pf}, {!Random_workload};
     - closed-form bounds: {!Bounds};
-    - the parallel sweep engine with its result cache: {!Exec};
+    - the parallel sweep engine with its result cache: {!Exec}, and
+      the JSON reader/writer its records use: {!Json};
     - self-auditing runs: runtime oracles, the kernel-vs-reference
       divergence watchdog and trace-shrinking failure triage: {!Audit};
     - process-wide instruments behind a zero-cost-when-disabled sink:
@@ -50,10 +51,13 @@ module Audit : sig
   module Report = Pc_audit.Report
 end
 
+(** The JSON reader/writer behind cache entries, journals, the serve
+    protocol and telemetry snapshots. *)
+module Json = Pc_json.Json
+
 (** The sweep engine: deterministic job specs, a [Domain] worker pool,
     and the content-addressed on-disk result cache. *)
 module Exec : sig
-  module Json = Pc_exec.Json
   module Spec = Pc_exec.Spec
   module Pool = Pc_exec.Pool
   module Cache = Pc_exec.Cache

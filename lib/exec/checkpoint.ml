@@ -1,4 +1,5 @@
 open Pc_adversary
+open Pc_json
 
 (* Crash-safe sweep journal: one fsynced JSON line per completed job,
    appended to <dir>/<sweep-digest>.journal as the pool finishes jobs.

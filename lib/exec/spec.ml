@@ -1,4 +1,5 @@
 open Pc_adversary
+open Pc_json
 
 (* A deterministic, serialisable description of one experiment point:
    which adversary/workload, against which manager, at which scale.

@@ -1,4 +1,5 @@
 open Pc_exec
+open Pc_json
 open Pc_adversary
 
 (* The wire vocabulary of the serve daemon: request/response ADTs and

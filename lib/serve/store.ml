@@ -1,4 +1,5 @@
 open Pc_exec
+open Pc_json
 
 (* On-disk layout of a serve daemon's state dir, sharded per tenant:
 

@@ -41,7 +41,4 @@ let of_string = function
         (`Msg
           (Printf.sprintf "unknown telemetry level %S (expected off, summary or full)" s))
 
-let of_string_exn s =
-  match of_string s with Ok l -> l | Error (`Msg m) -> invalid_arg m
-
 let pp ppf l = Fmt.string ppf (to_string l)

@@ -17,5 +17,4 @@ val on : unit -> bool
 val full_on : unit -> bool
 val to_string : level -> string
 val of_string : string -> (level, [ `Msg of string ]) result
-val of_string_exn : string -> level
 val pp : level Fmt.t

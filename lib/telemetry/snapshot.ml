@@ -1,7 +1,7 @@
 (* A point-in-time capture of every active instrument, with a stable
-   schema ("pc-telemetry/1") so snapshots written by `pc simulate
-   --telemetry-out`, the sweep engine and the bench harness can all be
-   fed back to `pc report` or external tooling. *)
+   schema ("pc-telemetry/1") so snapshots written by any pc command's
+   --telemetry-out can be fed back to `pc report` or external
+   tooling. *)
 
 module Json = Pc_json.Json
 

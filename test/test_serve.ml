@@ -7,7 +7,7 @@
 
 open Pc_exec
 open Pc_serve
-module Json = Pc_exec.Json
+module Json = Pc_json.Json
 
 let replace_all ~sub ~by s =
   let n = String.length sub in

@@ -4,6 +4,7 @@
    and one failing point must not kill a sweep. *)
 
 open Pc_exec
+open Pc_json
 
 let outcome = Helpers.outcome
 let grid = Helpers.grid

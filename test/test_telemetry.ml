@@ -239,12 +239,12 @@ let prop_cache_payload_identical =
     (fun seed ->
       let payload level =
         let o = run_churn_at level seed in
-        Digest.string (Pc_exec.Json.to_string (Pc_exec.Cache.outcome_to_json o))
+        Digest.string (Pc_json.Json.to_string (Pc_exec.Cache.outcome_to_json o))
       in
       payload T.Sink.Off = payload T.Sink.Full)
 
 let test_overhead_smoke () =
-  (* Loose smoke only — the real measurement lives in bench/ and
+  (* Loose smoke only — the real measurement lives in perfbench/ and
      EXPERIMENTS.md. Summary-level telemetry must not blow up a run. *)
   let time_at level =
     let best = ref infinity in
