@@ -6,7 +6,12 @@
 
    Columns: manager, workload, hs, allocated, moved, freed, final_live,
    compliant, md5(Trace.to_string). A run that raises prints the
-   exception in place of the outcome. *)
+   exception in place of the outcome.
+
+   After the registry rows come the page-grid family at other sizes
+   (segregated blocks of 64 words, pages of 16 to 256 words, two-slot
+   buckets), where pages fill, retire and plug many times over at
+   M = 2^12; the 32- and 256-word meshing rows mesh on churn. *)
 
 open Pc_core.Pc
 
@@ -33,9 +38,9 @@ let workloads =
       ("pw", Some 8.0, fun () -> Pw.program ~m ~n ());
     ]
 
-let row key (name, c, program) =
+let row_of key construct (name, c, program) =
   let trace = Trace.create () in
-  let manager = Recording.manager trace (Managers.construct_exn key) in
+  let manager = Recording.manager trace (construct ()) in
   match Runner.run ?c ~program:(program ()) ~manager () with
   | o ->
       Printf.printf "%s %s hs=%d allocated=%d moved=%d freed=%d live=%d \
@@ -45,7 +50,22 @@ let row key (name, c, program) =
   | exception e ->
       Printf.printf "%s %s raised %s\n" key name (Printexc.to_string e)
 
+let small =
+  let open Pc_manager in
+  [
+    ("segregated/b64", fun () -> Segregated.make ~block_words:64 ());
+    ("compact-fit/p16", fun () -> Compact_fit.make ~page_words:16 ());
+    ("meshing/p16", fun () -> Meshing.make ~page_words:16 ());
+    ("meshing/p32", fun () -> Meshing.make ~page_words:32 ());
+    ("meshing/p256", fun () -> Meshing.make ~page_words:256 ());
+    ("cost-oblivious/i2", fun () -> Cost_oblivious.make ~init_slots:2 ());
+  ]
+
 let () =
   List.iter
-    (fun key -> List.iter (row key) workloads)
-    (Managers.keys ())
+    (fun key ->
+      List.iter (row_of key (fun () -> Managers.construct_exn key)) workloads)
+    (Managers.keys ());
+  List.iter
+    (fun (key, construct) -> List.iter (row_of key construct) workloads)
+    small
