@@ -42,10 +42,8 @@ type outcome = {
   compliant : bool; (* c-partial rule never violated *)
 }
 
-let run ?c ?(check = false) ?(check_every = 64)
-    ?(audit = Pc_audit.Oracle.Off) ?(audit_every = 64) ?audit_c ?theory_h
-    ?failures_dir ~program ~manager () =
-  if check_every <= 0 then invalid_arg "Runner.run: check_every must be > 0";
+let run ?c ?(audit = Pc_audit.Oracle.Off) ?(audit_every = 64) ?audit_c
+    ?theory_h ?failures_dir ~program ~manager () =
   let m = Program.live_bound program in
   (* The oracle audits [audit_c] — normally the enforced bound, but a
      caller can audit a bound the budget does not enforce (that is how
@@ -98,19 +96,6 @@ let run ?c ?(check = false) ?(check_every = 64)
       else None
     in
     let driver = Driver.create ctx manager in
-    if check then begin
-      (* Sampled: the full invariant sweep is O(live), so running it on
-         every event turns an O(T) execution into O(T^2). One event in
-         [check_every] keeps executions honest at tolerable cost; the
-         final check below always runs on the complete heap. *)
-      let countdown = ref check_every in
-      Heap.on_event heap (fun _ ->
-          decr countdown;
-          if !countdown <= 0 then begin
-            countdown := check_every;
-            Heap.check_invariants heap
-          end)
-    end;
     let event_seq () =
       match oracle with Some o -> Pc_audit.Oracle.seq o | None -> -1
     in

@@ -18,8 +18,6 @@ type outcome = {
 
 val run :
   ?c:float ->
-  ?check:bool ->
-  ?check_every:int ->
   ?audit:Pc_audit.Oracle.level ->
   ?audit_every:int ->
   ?audit_c:float ->
@@ -29,12 +27,9 @@ val run :
   manager:Pc_manager.Manager.t ->
   unit ->
   outcome
-(** [c] bounds the manager's compaction (omit for unlimited).
-    [check] (default false) samples the full heap invariant check
-    during the run: one event in [check_every] (default 64) triggers
-    the O(live) sweep — set [check_every:1] to check every event, tests
-    only. A full check always runs once at the end of every
-    execution.
+(** [c] bounds the manager's compaction (omit for unlimited). A full
+    heap invariant check runs once at the end of every execution; for
+    sampled checks during the run, audit at [Sampled] or above.
 
     [audit] (default [Off]) attaches the {!Pc_audit.Oracle} layer to
     the run: the heap's event stream is checked (budget, live-space,

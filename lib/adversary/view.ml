@@ -55,7 +55,6 @@ type t = {
   mutable count : int;
   mutable hi : int; (* no oid at or above [hi] is present *)
   mutable present_words : int; (* live + ghost *)
-  mutable on_ghost : (record -> unit) option;
 }
 
 let absent = { oid = Oid.of_int 0; orig_addr = -1; size = 0; ghost = true }
@@ -70,7 +69,6 @@ let create driver =
     count = 0;
     hi = 0;
     present_words = 0;
-    on_ghost = None;
   }
 
 let[@inline] addr_at t o = Chunked.get t.node (o * stride)
@@ -152,13 +150,10 @@ let unlink t o =
     set_next t !p n
   end
 
-let set_ghost_hook t f = t.on_ghost <- Some f
-
 let ghost t (r : record) =
   if not r.ghost then begin
     Driver.free t.driver r.oid;
-    r.ghost <- true;
-    match t.on_ghost with Some f -> f r | None -> ()
+    r.ghost <- true
   end
 
 let alloc t ~size =

@@ -17,9 +17,6 @@ type t
 
 val create : Driver.t -> t
 
-val set_ghost_hook : t -> (record -> unit) -> unit
-(** Called right after a record turns into a ghost. *)
-
 val alloc : t -> size:int -> record
 (** Allocate and track; any tracked object the manager moved while
     serving the request is ghosted (freed on the heap, kept in the

@@ -35,6 +35,12 @@ exception Reported of bundle
 val default_dir : unit -> string
 (** [PC_FAILURES_DIR] if set, else ["_pc_failures"]. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents (mode [0o755]); a
+    directory another process creates meanwhile is not an error. The
+    result cache, sweep journals, lock files and [pc serve]'s state
+    directory use it too. *)
+
 val capture :
   ?dir:string ->
   ?max_shrink_tests:int ->

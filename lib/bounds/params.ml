@@ -6,7 +6,6 @@ type t = { m : int; n : int; c : float }
 
 let kb = 1 lsl 10
 let mb = 1 lsl 20
-let gb = 1 lsl 30
 
 let pp ppf { m; n; c } =
   Fmt.pf ppf "M=%d n=%d c=%g (M=2^%.0f, n=2^%.0f)" m n c (Logf.log2i m)

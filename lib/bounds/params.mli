@@ -6,7 +6,6 @@ type t = { m : int  (** live-space bound M *); n : int; c : float }
 
 val kb : int
 val mb : int
-val gb : int
 val pp : Format.formatter -> t -> unit
 
 val fig1 : c:float -> t

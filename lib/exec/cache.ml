@@ -20,16 +20,9 @@ let default_dir () =
   | Some d when d <> "" -> d
   | Some _ | None -> "_pc_cache"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?dir () =
   let dir = match dir with Some d -> d | None -> default_dir () in
-  mkdir_p dir;
+  Pc_audit.Report.mkdir_p dir;
   { dir }
 
 let dir t = t.dir

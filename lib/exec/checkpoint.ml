@@ -42,12 +42,6 @@ type t = {
 
 let journal_format = 1
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let default_dir ~cache_dir = Filename.concat cache_dir "sweeps"
 
 let sweep_digest specs =
@@ -134,7 +128,7 @@ let load_entries path =
   end
 
 let open_ ?(resume = false) ~dir specs =
-  mkdir_p dir;
+  Pc_audit.Report.mkdir_p dir;
   let path = path ~dir specs in
   let entries, loaded, valid_end, repaired =
     if resume then load_entries path else (Hashtbl.create 64, 0, 0, 0)

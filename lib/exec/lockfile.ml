@@ -34,12 +34,6 @@ let () =
              path pid)
     | _ -> None)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let read_pid path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None
@@ -62,7 +56,7 @@ let try_create path =
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> None
 
 let acquire path =
-  mkdir_p (Filename.dirname path);
+  Pc_audit.Report.mkdir_p (Filename.dirname path);
   (* Bounded retries: breaking a stale lock and re-creating it races
      against other breakers; whoever wins the O_EXCL create owns it. *)
   let rec go tries =

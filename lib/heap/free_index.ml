@@ -29,17 +29,9 @@
    [len_small]/[len_big] count gaps per exact length and [lens] is the
    bitset of lengths with non-zero count. *)
 
-(* Reusable scratch for [iter_largest_gaps]: a binary max-heap of
-   (level, word, mask of unconsumed children) entries in parallel int
-   arrays, each keyed by the exact key of its best child. *)
-type topk = {
-  mutable tk_len : int array; (* key: gap length (exact or node max) *)
-  mutable tk_start : int array; (* key: gap start / highest address *)
-  mutable tk_lvl : int array;
-  mutable tk_w : int array;
-  mutable tk_mask : int array;
-  mutable tk_n : int;
-}
+(* Reusable scratch for [iter_largest_gaps]: the (len, start) keys of
+   the gaps it sorts, in two parallel int arrays. *)
+type gap_keys = { mutable key_len : int array; mutable key_start : int array }
 
 type t = {
   mutable frontier : int;
@@ -54,8 +46,8 @@ type t = {
   lens : Bitset.t; (* distinct gap lengths present *)
   len_small : int array; (* count of gaps per length < small_len_limit *)
   len_big : (int, int) Hashtbl.t; (* likewise for longer gaps *)
-  tk : topk; (* scratch for iter_largest_gaps *)
-  mutable tk_busy : bool; (* reentrant calls fall back to fresh scratch *)
+  keys : gap_keys; (* scratch for iter_largest_gaps *)
+  mutable keys_busy : bool; (* reentrant calls fall back to fresh scratch *)
 }
 
 type fit = Heap_types.fit = Gap of int | Tail of int
@@ -70,15 +62,7 @@ let nlevels_for cap =
   let rec go n = if 1 lsl (5 * n) >= cap then n else go (n + 1) in
   go 1
 
-let topk_make () =
-  {
-    tk_len = Array.make 64 0;
-    tk_start = Array.make 64 0;
-    tk_lvl = Array.make 64 0;
-    tk_w = Array.make 64 0;
-    tk_mask = Array.make 64 0;
-    tk_n = 0;
-  }
+let keys_make () = { key_len = Array.make 64 0; key_start = Array.make 64 0 }
 
 let create () =
   let nlevels = 2 in
@@ -96,8 +80,8 @@ let create () =
     lens = Bitset.create ();
     len_small = Array.make small_len_limit 0;
     len_big = Hashtbl.create 16;
-    tk = topk_make ();
-    tk_busy = false;
+    keys = keys_make ();
+    keys_busy = false;
   }
 
 let frontier t = t.frontier
@@ -554,183 +538,20 @@ let gaps t =
   iter_gaps t (fun s l -> acc := (s, l) :: !acc);
   List.rev !acc
 
-(* The k largest gaps as (len, start) lexicographically descending,
-   enumerated best-first: a small binary max-heap holds radix subtrees
-   keyed by (max length under the node, highest address under the
-   node) — an upper bound on the key of every gap inside — plus
-   already-resolved gaps keyed exactly. Popping a subtree pushes its
-   children; popping a gap emits it, and the bound property guarantees
-   no unexpanded gap can beat it. Each emission expands at most one
-   root-to-leaf path, so a call is O(k * 32 log32 cap) no matter how
-   many gaps or distinct lengths exist. (The eviction machinery calls
-   this on every heap-growing allocation, so it must not degrade into
-   a full-tree rescan.) *)
-(* --- top-k gap enumeration ---------------------------------------
-
-   The k largest gaps as (len, start) lexicographically descending,
-   enumerated best-first. The scratch heap holds (level, word, mask of
-   unconssumed children) entries keyed by the exact key of the word's
-   best child under that order: for a level-0 word that is a concrete
-   gap key (len, start); for higher words it is the child's
-   (max-length, highest-address) upper bound, which dominates every
-   gap key inside the child. Popping the root either emits its best
-   gap (level 0: keys are exact) or descends one level into the best
-   child; in both cases the remainder of the word re-enters the heap
-   under its next-best key, so each emission costs O(32 log32 cap)
-   word scans and the heap stays O(k + levels) small. The eviction
-   machinery calls this on every heap-growing allocation, so it is
-   written in direct style: reused scratch arrays on [t], no closures,
-   unsafe accesses on heap-internal indices. *)
-
-let[@inline] tk_less h i j =
-  let li = Array.unsafe_get h.tk_len i and lj = Array.unsafe_get h.tk_len j in
-  li < lj
-  || (li = lj && Array.unsafe_get h.tk_start i < Array.unsafe_get h.tk_start j)
-
-let[@inline] tk_swap h i j =
-  let sl = Array.unsafe_get h.tk_len i
-  and ss = Array.unsafe_get h.tk_start i
-  and sv = Array.unsafe_get h.tk_lvl i
-  and sw = Array.unsafe_get h.tk_w i
-  and sm = Array.unsafe_get h.tk_mask i in
-  Array.unsafe_set h.tk_len i (Array.unsafe_get h.tk_len j);
-  Array.unsafe_set h.tk_start i (Array.unsafe_get h.tk_start j);
-  Array.unsafe_set h.tk_lvl i (Array.unsafe_get h.tk_lvl j);
-  Array.unsafe_set h.tk_w i (Array.unsafe_get h.tk_w j);
-  Array.unsafe_set h.tk_mask i (Array.unsafe_get h.tk_mask j);
-  Array.unsafe_set h.tk_len j sl;
-  Array.unsafe_set h.tk_start j ss;
-  Array.unsafe_set h.tk_lvl j sv;
-  Array.unsafe_set h.tk_w j sw;
-  Array.unsafe_set h.tk_mask j sm
-
-(* Insert the word (lvl, w) with unconsumed children [m], keyed by its
-   best child; an empty mask is simply dropped. *)
-let tk_push t h lvl w m =
-  if m <> 0 then begin
-    let best_len = ref (-1) and best_start = ref (-1) in
-    let mm = ref m in
-    if lvl = 0 then begin
-      let base = w lsl 5 in
-      while !mm <> 0 do
-        let b = Bits.ntz32 !mm in
-        mm := !mm land (!mm - 1);
-        let c = base lor b in
-        let len = Chunked.get t.gap_len c in
-        if len > !best_len || (len = !best_len && c > !best_start) then begin
-          best_len := len;
-          best_start := c
-        end
-      done
-    end
-    else begin
-      let child_maxl = t.maxl.(lvl - 1) in
-      let shift = 5 * lvl in
-      let base = w lsl 5 in
-      while !mm <> 0 do
-        let b = Bits.ntz32 !mm in
-        mm := !mm land (!mm - 1);
-        let c = base lor b in
-        let len = Array.unsafe_get child_maxl c in
-        (* [best_start] holds the child index until the loop ends;
-           children have disjoint address ranges, so on equal lengths
-           the higher index always has the higher address bound. *)
-        if len > !best_len || (len = !best_len && c > !best_start) then begin
-          best_len := len;
-          best_start := c
-        end
-      done;
-      best_start := ((!best_start + 1) lsl shift) - 1
-    end;
-    if h.tk_n = Array.length h.tk_len then begin
-      let grow a =
-        let a' = Array.make (2 * Array.length a) 0 in
-        Array.blit a 0 a' 0 (Array.length a);
-        a'
-      in
-      h.tk_len <- grow h.tk_len;
-      h.tk_start <- grow h.tk_start;
-      h.tk_lvl <- grow h.tk_lvl;
-      h.tk_w <- grow h.tk_w;
-      h.tk_mask <- grow h.tk_mask
-    end;
-    let i = ref h.tk_n in
-    h.tk_n <- h.tk_n + 1;
-    Array.unsafe_set h.tk_len !i !best_len;
-    Array.unsafe_set h.tk_start !i !best_start;
-    Array.unsafe_set h.tk_lvl !i lvl;
-    Array.unsafe_set h.tk_w !i w;
-    Array.unsafe_set h.tk_mask !i m;
-    while !i > 0 && tk_less h ((!i - 1) / 2) !i do
-      tk_swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-  end
-
-let tk_pop_root h =
-  h.tk_n <- h.tk_n - 1;
-  if h.tk_n > 0 then begin
-    tk_swap h 0 h.tk_n;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      let r = l + 1 in
-      let m = ref !i in
-      if l < h.tk_n && tk_less h !m l then m := l;
-      if r < h.tk_n && tk_less h !m r then m := r;
-      if !m <> !i then begin
-        tk_swap h !i !m;
-        i := !m
-      end
-      else continue := false
-    done
-  end
-
-(* Best-first enumeration, exact (len, start) descending — see the
-   comment block above. Used when the gap population is large: cost is
-   O(k * 32 log32 cap) independent of the number of gaps. *)
-let tk_run_heap t h k f =
-  let top = t.nlevels - 1 in
-  tk_push t h top 0 t.masks.(top).(0);
-  let remaining = ref k in
-  while !remaining > 0 && h.tk_n > 0 do
-    let len = Array.unsafe_get h.tk_len 0
-    and start = Array.unsafe_get h.tk_start 0
-    and lvl = Array.unsafe_get h.tk_lvl 0
-    and w = Array.unsafe_get h.tk_w 0
-    and m = Array.unsafe_get h.tk_mask 0 in
-    tk_pop_root h;
-    if lvl = 0 then begin
-      (* Level-0 keys are exact: the root is the next gap. *)
-      f start len;
-      decr remaining;
-      tk_push t h 0 w (m land lnot (1 lsl (start land 31)))
-    end
-    else begin
-      let b = (start lsr (5 * lvl)) land 31 in
-      let c = (w lsl 5) lor b in
-      tk_push t h (lvl - 1) c t.masks.(lvl - 1).(c);
-      tk_push t h lvl w (m land lnot (1 lsl b))
-    end
-  done
-
 (* Count of gaps of exactly length [l]. *)
 let[@inline] len_count t l =
   if l < small_len_limit then t.len_small.(l)
   else match Hashtbl.find_opt t.len_big l with Some c -> c | None -> 0
 
-(* Enumerate via the per-length index: find the k-th largest present
-   gap length L* by walking the distinct lengths downward through
-   [lens], collect the (fewer than k) gaps strictly longer than L* in
-   one maxl-pruned descending address sweep and insertion-sort them —
-   keys are (len, start) packed into single ints so the sort compare is
-   one integer compare — then stream gaps of length exactly L* in
-   descending start order until k gaps are out. Cost is O(distinct
-   lengths + k · log32 cap). The packing needs [2 * 5 * nlevels <= 62];
-   the best-first walk below covers larger capacities. *)
-let tk_run_bylen t h k f =
-  let shift = 5 * t.nlevels in
+(* The k largest gaps as (len, start) lexicographically descending,
+   through the per-length index: find the k-th largest present gap
+   length L* by walking the distinct lengths downward through [lens],
+   collect the (fewer than k) gaps strictly longer than L* in one
+   maxl-pruned descending address sweep and insertion-sort them by
+   their (len, start) keys, then stream gaps of length exactly L* in
+   descending start order until k gaps are out. Cost is
+   O(distinct lengths + k * log32 cap) per call. *)
+let top_k t h k f =
   let kk = min k t.gap_count in
   let lstar = ref (root_max t) and krem = ref kk in
   Bitset.rev_iter_while t.lens ~from:(root_max t) (fun l ->
@@ -745,26 +566,32 @@ let tk_run_bylen t h k f =
       end);
   let lstar = !lstar and krem = !krem in
   let n_above = kk - krem in
-  if Array.length h.tk_len < n_above then
-    h.tk_len <- Array.make (max 64 n_above) 0;
-  let a = h.tk_len in
+  if Array.length h.key_len < n_above then begin
+    h.key_len <- Array.make (max 64 n_above) 0;
+    h.key_start <- Array.make (max 64 n_above) 0
+  end;
+  let lens = h.key_len and starts = h.key_start in
   let n = ref 0 in
   if n_above > 0 then
     ignore
       (search_down t ~hi:(t.cap - 1) ~size:(lstar + 1) (fun s gl ->
-           let key = (gl lsl shift) lor s in
            let i = ref !n in
-           while !i > 0 && Array.unsafe_get a (!i - 1) < key do
-             Array.unsafe_set a !i (Array.unsafe_get a (!i - 1));
+           while
+             !i > 0
+             &&
+             let li = Array.unsafe_get lens (!i - 1) in
+             li < gl || (li = gl && Array.unsafe_get starts (!i - 1) < s)
+           do
+             Array.unsafe_set lens !i (Array.unsafe_get lens (!i - 1));
+             Array.unsafe_set starts !i (Array.unsafe_get starts (!i - 1));
              decr i
            done;
-           Array.unsafe_set a !i key;
+           Array.unsafe_set lens !i gl;
+           Array.unsafe_set starts !i s;
            incr n;
            -1));
-  let low = (1 lsl shift) - 1 in
   for i = 0 to !n - 1 do
-    let key = Array.unsafe_get a i in
-    f (key land low) (key lsr shift)
+    f (Array.unsafe_get starts i) (Array.unsafe_get lens i)
   done;
   if krem > 0 then begin
     let left = ref krem in
@@ -784,15 +611,13 @@ let iter_largest_gaps t ~k f =
   if k > 0 && t.gap_count > 0 then begin
     (* Reuse the scratch unless a callback re-enters on the same
        index, in which case the inner call gets fresh arrays. *)
-    let reused = not t.tk_busy in
-    let h = if reused then t.tk else topk_make () in
-    if reused then t.tk_busy <- true;
-    h.tk_n <- 0;
-    let use_bylen = 2 * 5 * t.nlevels <= 62 in
-    match if use_bylen then tk_run_bylen t h k f else tk_run_heap t h k f with
-    | () -> if reused then t.tk_busy <- false
+    let reused = not t.keys_busy in
+    let h = if reused then t.keys else keys_make () in
+    if reused then t.keys_busy <- true;
+    match top_k t h k f with
+    | () -> if reused then t.keys_busy <- false
     | exception e ->
-        if reused then t.tk_busy <- false;
+        if reused then t.keys_busy <- false;
         raise e
   end
 

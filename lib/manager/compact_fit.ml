@@ -18,87 +18,27 @@ open Pc_heap
    when the budget cannot pay, the class simply stays dirty until the
    budget recharges (the invariant lapses instead of the budget rule).
 
-   Pages live on an aligned grid with eager retirement of empty pages
-   (the [Segregated] siting argument), so siting a fresh page through
-   an aligned fit query is safe. *)
+   The pages are the shared [Pages] grid; its available pages are the
+   partial pages here. *)
 
-module Int_map = Map.Make (Int)
-
-type page = {
-  base : int;
-  class_ : int; (* log2 of slot size *)
-  slots : Bytes.t; (* slot occupancy bitmap, one byte per slot *)
-  mutable used : int;
-}
-
-type state = {
-  page_words : int;
-  mutable pages : page Int_map.t; (* base -> page *)
-  mutable partial : int Int_map.t array; (* class -> bases with free slots *)
-  dirty : bool array; (* class -> has > 1 partial page *)
-}
-
-let max_class = 48
-
-let create_state ~page_words =
-  if not (Word.is_pow2 page_words) then
-    invalid_arg "Compact_fit.make: page size must be a power of two";
-  {
-    page_words;
-    pages = Int_map.empty;
-    partial = Array.make max_class Int_map.empty;
-    dirty = Array.make max_class false;
-  }
-
-let slot_size class_ = Word.pow2 class_
-let slots_per_page state class_ = max 1 (state.page_words / slot_size class_)
-
-let add_partial state p =
-  state.partial.(p.class_) <- Int_map.add p.base p.base state.partial.(p.class_)
-
-let remove_partial state p =
-  state.partial.(p.class_) <- Int_map.remove p.base state.partial.(p.class_)
-
-let retire state p =
-  remove_partial state p;
-  state.pages <- Int_map.remove p.base state.pages
-
-let find_free_slot p =
-  let n = Bytes.length p.slots in
-  let rec loop i =
-    if i >= n then invalid_arg "Compact_fit: no free slot in partial page"
-    else if Bytes.get p.slots i = '\000' then i
-    else loop (i + 1)
-  in
-  loop 0
-
-let highest_used_slot p =
-  let rec loop i =
-    if i < 0 then invalid_arg "Compact_fit: no used slot in donor page"
-    else if Bytes.get p.slots i = '\001' then i
-    else loop (i - 1)
-  in
-  loop (Bytes.length p.slots - 1)
-
-let class_of_size state size =
-  let c = Word.log2_ceil (max 1 size) in
-  (* Objects at least a page wide get a dedicated span of pages. *)
-  if slot_size c >= state.page_words then None else Some c
+let highest_used_slot (p : Pages.page) =
+  match Bytes.rindex p.slots '\001' with
+  | i -> i
+  | exception Not_found ->
+      invalid_arg "Compact_fit: no used slot in donor page"
 
 (* Restore the compact invariant for one class: while two partial
    pages coexist, move the highest slot of the highest-addressed one
    into the lowest hole of the lowest-addressed one. Stops when the
    budget runs dry, leaving the class dirty for a later attempt. *)
-let repair state ctx class_ =
+let repair grid dirty ctx class_ =
   let heap = Ctx.heap ctx in
   let budget = Ctx.budget ctx in
-  let slot_words = slot_size class_ in
+  let slot_words = Pages.slot_size class_ in
   let dry = ref false in
-  while (not !dry) && Int_map.cardinal state.partial.(class_) > 1 do
-    let _, src_base = Int_map.max_binding state.partial.(class_) in
-    let _, dst_base = Int_map.min_binding state.partial.(class_) in
-    let src = Int_map.find src_base state.pages in
-    let dst = Int_map.find dst_base state.pages in
+  while (not !dry) && Pages.avail_count grid class_ > 1 do
+    let src = Option.get (Pages.highest_avail grid class_) in
+    let dst = Option.get (Pages.lowest_avail grid class_) in
     let j = highest_used_slot src in
     let migrant =
       match
@@ -111,77 +51,26 @@ let repair state ctx class_ =
     in
     if not (Budget.can_move budget migrant.size) then dry := true
     else begin
-      let hole = find_free_slot dst in
-      Heap.move heap migrant.oid ~dst:(dst.base + (hole * slot_words));
-      Bytes.set dst.slots hole '\001';
-      dst.used <- dst.used + 1;
-      if dst.used = Bytes.length dst.slots then remove_partial state dst;
-      Bytes.set src.slots j '\000';
-      src.used <- src.used - 1;
-      if src.used = 0 then retire state src
+      Heap.move heap migrant.oid ~dst:(Pages.take_slot grid dst);
+      ignore (Pages.vacate grid src j)
     end
   done;
-  if Int_map.cardinal state.partial.(class_) <= 1 then
-    state.dirty.(class_) <- false
+  if Pages.avail_count grid class_ <= 1 then dirty.(class_) <- false
 
 let make ?(page_words = 1 lsl 6) () =
-  let state = create_state ~page_words in
-  let site_page ctx ~span =
-    let free = Ctx.free_index ctx in
-    let size = span * state.page_words in
-    match
-      Free_index.first_aligned_fit_gap free ~size ~align:state.page_words
-    with
-    | Some a -> a
-    | None -> Word.align_up (Free_index.frontier free) ~align:state.page_words
-  in
+  let grid = Pages.create ~page_words in
+  let dirty = Array.make Pages.max_class false (* class -> > 1 partial *) in
   let alloc ctx ~size =
-    Array.iteri
-      (fun class_ dirty -> if dirty then repair state ctx class_)
-      state.dirty;
-    match class_of_size state size with
-    | None ->
-        (* Large object: dedicated span of whole pages, dying with the
-           object — exactly as in [Segregated]. *)
-        site_page ctx ~span:((size + state.page_words - 1) / state.page_words)
-    | Some class_ ->
-        let p =
-          match Int_map.min_binding_opt state.partial.(class_) with
-          | Some (_, base) -> Int_map.find base state.pages
-          | None ->
-              let base = site_page ctx ~span:1 in
-              let p =
-                {
-                  base;
-                  class_;
-                  slots = Bytes.make (slots_per_page state class_) '\000';
-                  used = 0;
-                }
-              in
-              state.pages <- Int_map.add base p state.pages;
-              add_partial state p;
-              p
-        in
-        let slot = find_free_slot p in
-        Bytes.set p.slots slot '\001';
-        p.used <- p.used + 1;
-        if p.used = Bytes.length p.slots then remove_partial state p;
-        p.base + (slot * slot_size class_)
+    for class_ = 0 to Pages.max_class - 1 do
+      if dirty.(class_) then repair grid dirty ctx class_
+    done;
+    Pages.alloc grid ctx ~size ~at_tail:(fun _ tail -> tail)
   in
-  let on_free _ctx (o : Heap.obj) =
-    let base = Word.align_down o.addr ~align:state.page_words in
-    match Int_map.find_opt base state.pages with
-    | None -> () (* large object span; nothing to do *)
-    | Some p ->
-        let slot = (o.addr - p.base) / slot_size p.class_ in
-        if Bytes.get p.slots slot = '\001' then begin
-          Bytes.set p.slots slot '\000';
-          if p.used = Bytes.length p.slots then add_partial state p;
-          p.used <- p.used - 1;
-          if p.used = 0 then retire state p
-          else if Int_map.cardinal state.partial.(p.class_) > 1 then
-            state.dirty.(p.class_) <- true
-        end
+  let on_free _ctx o =
+    match Pages.release grid o with
+    | Some p when Pages.avail_count grid p.class_ > 1 ->
+        dirty.(p.class_) <- true
+    | _ -> ()
   in
   Manager.make ~name:"compact-fit"
     ~description:

@@ -4,19 +4,24 @@ open Pc_heap
    at. Placement is first fit; when no gap fits and placing at the tail
    would raise the high-water mark, the manager tries to clear the
    cheapest aligned window by relocating its objects into other gaps,
-   within the compaction budget.
+   within the compaction budget. *)
 
-   [move_cap_factor] bounds how much budget one eviction may burn, as a
-   multiple of the window size. The paper's PF keeps every chunk at
-   density 2^-l > 1/c, so each cleared window costs more than the
-   allocation recharges — with any cap the budget eventually runs dry
-   and the heap must grow, which is the theorem in action.
+(* How much budget one eviction may burn, as a multiple of the window
+   size. The paper's PF keeps every chunk at density 2^-l > 1/c, so
+   each cleared window costs more than the allocation recharges — with
+   any cap the budget eventually runs dry and the heap must grow, which
+   is the theorem in action. *)
+let move_cap_factor = 2.0
 
-   [min_window] makes tiny allocations share eviction work: clearing a
-   64-word window for a 1-word request leaves the remainder as a gap
-   for the requests that follow. *)
+(* Candidate windows tried per allocation. *)
+let max_attempts = 3
 
-let make ?(move_cap_factor = 2.0) ?(max_attempts = 3) ?(min_window = 64) () =
+(* Tiny allocations share eviction work: clearing a 64-word window for
+   a 1-word request leaves the remainder as a gap for the requests
+   that follow. *)
+let min_window = 64
+
+let make () =
   let alloc ctx ~size =
     let free = Ctx.free_index ctx in
     match Free_index.first_fit free ~size with

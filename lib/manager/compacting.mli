@@ -1,14 +1,7 @@
 (** The realistic c-partial compacting manager: first fit plus
     on-demand eviction of the cheapest aligned window when the heap
-    would otherwise grow.
+    would otherwise grow. Windows are at least 64 words; one eviction
+    may burn at most twice the window size of budget, and at most
+    three candidate windows are tried per allocation. *)
 
-    [move_cap_factor] (default 2.0) bounds the budget one eviction may
-    burn, as a multiple of the window size; [max_attempts] (default 3)
-    bounds how many candidate windows are tried per allocation. *)
-
-val make :
-  ?move_cap_factor:float ->
-  ?max_attempts:int ->
-  ?min_window:int ->
-  unit ->
-  Manager.t
+val make : unit -> Manager.t

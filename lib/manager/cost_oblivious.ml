@@ -19,26 +19,18 @@ open Pc_heap
    every placement query must skip extents overlapping an owned arena
    — a gap in the free index may still be bucket-reserved. Empty
    buckets are dropped eagerly, shrinking the class back to its
-   initial capacity at the next allocation. *)
-
-module Int_map = Map.Make (Int)
-
-type arena = {
-  base : int;
-  class_ : int; (* log2 of slot size *)
-  cap : int; (* slots *)
-  slots : Bytes.t; (* slot occupancy bitmap, one byte per slot *)
-  mutable used : int;
-}
+   initial capacity at the next allocation. A bucket is a [Pages.page]
+   outside any grid: its slot bitmap is the page's. *)
 
 type state = {
   init_slots : int;
-  mutable arenas : arena option array; (* class -> current bucket *)
+  arenas : Pages.page option array; (* class -> current bucket *)
 }
 
 let max_class = 62
-let slot_size class_ = Word.pow2 class_
-let arena_words a = a.cap * slot_size a.class_
+
+let arena_words (a : Pages.page) =
+  Bytes.length a.slots * Pages.slot_size a.class_
 
 let create_state ~init_slots =
   if init_slots < 1 then
@@ -52,7 +44,7 @@ let overlapping state addr size =
   let found = ref None in
   Array.iter
     (function
-      | Some a when !found = None ->
+      | Some (a : Pages.page) when !found = None ->
           let a_stop = a.base + arena_words a in
           if addr < a_stop && a.base < stop then found := Some a_stop
       | _ -> ())
@@ -84,7 +76,7 @@ let site state ctx ~size ~align =
    oldest address first; [None] when the budget cannot pay yet. *)
 let resize state ctx class_ =
   let heap = Ctx.heap ctx in
-  let slot = slot_size class_ in
+  let slot = Pages.slot_size class_ in
   let old = state.arenas.(class_) in
   let cost =
     match old with
@@ -94,10 +86,12 @@ let resize state ctx class_ =
   if not (Budget.can_move (Ctx.budget ctx) cost) then None
   else begin
     let cap =
-      match old with None -> state.init_slots | Some a -> a.cap * 2
+      match old with
+      | None -> state.init_slots
+      | Some a -> Bytes.length a.slots * 2
     in
     let base = site state ctx ~size:(cap * slot) ~align:slot in
-    let slots = Bytes.make cap '\000' in
+    let a = Pages.page ~base ~class_ ~slots:cap in
     let migrants =
       match old with
       | None -> []
@@ -107,22 +101,11 @@ let resize state ctx class_ =
     List.iteri
       (fun i (o : Heap.obj) ->
         Heap.move heap o.oid ~dst:(base + (i * slot));
-        Bytes.set slots i '\001')
+        Pages.set_slot a i)
       migrants;
-    let a =
-      { base; class_; cap; slots; used = List.length migrants }
-    in
     state.arenas.(class_) <- Some a;
     Some a
   end
-
-let find_free_slot a =
-  let rec loop i =
-    if i >= a.cap then invalid_arg "Cost_oblivious: no free slot in bucket"
-    else if Bytes.get a.slots i = '\000' then i
-    else loop (i + 1)
-  in
-  loop 0
 
 let make ?(init_slots = 4) () =
   let state = create_state ~init_slots in
@@ -130,15 +113,14 @@ let make ?(init_slots = 4) () =
     let class_ = Word.log2_ceil (max 1 size) in
     let arena =
       match state.arenas.(class_) with
-      | Some a when a.used < a.cap -> Some a
+      | Some a when not (Pages.is_full a) -> Some a
       | _ -> resize state ctx class_
     in
     match arena with
     | Some a ->
-        let slot = find_free_slot a in
-        Bytes.set a.slots slot '\001';
-        a.used <- a.used + 1;
-        a.base + (slot * slot_size class_)
+        let slot = Pages.find_free_slot a in
+        Pages.set_slot a slot;
+        a.base + (slot * Pages.slot_size class_)
     | None ->
         (* Resize postponed: overflow outside every bucket; no
            bookkeeping — the extent dies with the object. *)
@@ -166,15 +148,12 @@ let make ?(init_slots = 4) () =
     | Some a
       when o.addr >= a.base
            && o.addr < a.base + arena_words a
-           && (o.addr - a.base) mod slot_size class_ = 0 ->
-        let slot = (o.addr - a.base) / slot_size class_ in
-        if Bytes.get a.slots slot = '\001' then begin
-          Bytes.set a.slots slot '\000';
-          a.used <- a.used - 1;
-          (* Drop empty buckets: the class restarts at init capacity,
-             the resizing-down half of the scheme. *)
-          if a.used = 0 then state.arenas.(class_) <- None
-        end
+           && (o.addr - a.base) mod Pages.slot_size class_ = 0 ->
+        let slot = (o.addr - a.base) / Pages.slot_size class_ in
+        (* Drop empty buckets: the class restarts at init capacity,
+           the resizing-down half of the scheme. *)
+        if Pages.clear_slot a slot && a.used = 0 then
+          state.arenas.(class_) <- None
     | _ -> () (* overflow object; nothing to track *)
   in
   Manager.make ~name:"cost-oblivious"

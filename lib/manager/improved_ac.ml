@@ -16,9 +16,16 @@ open Pc_heap
       aligned-first-fit;
    3. else, extend at the (aligned) frontier.
 
+   Windows are at least [min_window] words and at most [max_attempts]
+   candidates are tried per allocation, as in [Compacting].
+
    See DESIGN.md, "Substitutions". *)
 
-let make ?(theta = 4.0) ?(max_attempts = 3) ?(min_window = 64) () =
+let theta = 4.0
+let max_attempts = 3
+let min_window = 64
+
+let make () =
   let relocate ctx ~avoid (o : Heap.obj) =
     let free = Ctx.free_index ctx in
     let align = Word.round_up_pow2 o.size in

@@ -3,8 +3,7 @@
     exact Theorem 2 algorithm is only in the paper's full version; see
     DESIGN.md, "Substitutions").
 
-    [theta] (default 4.0) sets the density threshold [theta·2{^k}/c]
-    below which a window is considered cheap enough to clear. *)
+    A window of [2{^k}] words is cheap enough to clear when its
+    occupancy is below [4·2{^k}/c]. *)
 
-val make :
-  ?theta:float -> ?max_attempts:int -> ?min_window:int -> unit -> Manager.t
+val make : unit -> Manager.t

@@ -4,92 +4,27 @@ open Pc_heap
    Compacting Memory Management for C/C++ Applications", arXiv
    1902.04738), adapted to the paper's single-address-space model.
 
-   The heap is carved into page-aligned pages on a fixed grid, each
+   The heap is the shared [Pages] grid: page-aligned pages, each
    dedicated to one power-of-two size class and sliced into equal
-   slots; objects occupy the head of a slot. Compaction never moves an
-   object within a page: when a fresh page cannot be sited without
-   raising the high-water mark, the manager looks for two pages of the
-   same class whose occupancy bitmaps are disjoint and *meshes* them —
-   every object of the sparser page moves to the identical slot offset
-   in the other page (free exactly because the bitmaps do not
-   overlap), and the emptied page's grid cell is reused for the new
-   page. Meshing is only legal between pages of one class, where slot
-   offsets coincide.
+   slots. Compaction never moves an object within a page: when a fresh
+   page cannot be sited without raising the high-water mark, the
+   manager looks for two pages of the same class whose occupancy
+   bitmaps are disjoint and *meshes* them — every object of the
+   sparser page moves to the identical slot offset in the other page
+   (free exactly because the bitmaps do not overlap), and the emptied
+   page's grid cell is reused for the new page. Meshing is only legal
+   between pages of one class, where slot offsets coincide.
 
    The moves charge the c-partial budget like any other relocation
    (the merge costs exactly [Evict.window_cost] of the source page);
    when the budget cannot cover any meshable pair the heap simply
    grows, as Mesh itself degrades to plain segregated storage when no
-   meshable span exists.
+   meshable span exists. *)
 
-   Empty pages are retired eagerly, which keeps the aligned-grid
-   siting argument of [Segregated] valid: a fully-free grid cell never
-   belongs to a live page, so siting through an aligned fit query is
-   safe. *)
+(* Sparsest pages per class considered when pairing. *)
+let pair_window = 6
 
-module Int_map = Map.Make (Int)
-
-type page = {
-  base : int;
-  class_ : int; (* log2 of slot size *)
-  slots : Bytes.t; (* slot occupancy bitmap, one byte per slot *)
-  mutable used : int;
-}
-
-type state = {
-  page_words : int;
-  pair_window : int; (* sparsest pages considered per class when meshing *)
-  mutable pages : page Int_map.t; (* base -> page *)
-  mutable by_class : page Int_map.t array; (* class -> base -> page *)
-  mutable avail : int Int_map.t array; (* class -> bases with free slots *)
-}
-
-let max_class = 48
-
-let create_state ~page_words ~pair_window =
-  if not (Word.is_pow2 page_words) then
-    invalid_arg "Meshing.make: page size must be a power of two";
-  {
-    page_words;
-    pair_window;
-    pages = Int_map.empty;
-    by_class = Array.make max_class Int_map.empty;
-    avail = Array.make max_class Int_map.empty;
-  }
-
-let slot_size class_ = Word.pow2 class_
-let slots_per_page state class_ = max 1 (state.page_words / slot_size class_)
-
-let add_avail state p =
-  state.avail.(p.class_) <- Int_map.add p.base p.base state.avail.(p.class_)
-
-let remove_avail state p =
-  state.avail.(p.class_) <- Int_map.remove p.base state.avail.(p.class_)
-
-let add_page state p =
-  state.pages <- Int_map.add p.base p state.pages;
-  state.by_class.(p.class_) <- Int_map.add p.base p state.by_class.(p.class_)
-
-let retire state p =
-  remove_avail state p;
-  state.pages <- Int_map.remove p.base state.pages;
-  state.by_class.(p.class_) <- Int_map.remove p.base state.by_class.(p.class_)
-
-let find_free_slot p =
-  let n = Bytes.length p.slots in
-  let rec loop i =
-    if i >= n then invalid_arg "Meshing: no free slot in avail page"
-    else if Bytes.get p.slots i = '\000' then i
-    else loop (i + 1)
-  in
-  loop 0
-
-let class_of_size state size =
-  let c = Word.log2_ceil (max 1 size) in
-  (* Objects at least a page wide get a dedicated span of pages. *)
-  if slot_size c >= state.page_words then None else Some c
-
-let bitmaps_disjoint a b =
+let bitmaps_disjoint (a : Pages.page) (b : Pages.page) =
   let n = Bytes.length a.slots in
   let rec loop i =
     i >= n
@@ -101,48 +36,48 @@ let bitmaps_disjoint a b =
 (* Merge [src] into [dst]: every object keeps its slot offset, the
    destination slots are free by bitmap disjointness. Returns the
    released grid cell. *)
-let mesh state ctx src dst =
+let mesh grid ctx (src : Pages.page) (dst : Pages.page) =
   let heap = Ctx.heap ctx in
   let objs =
-    Heap.objects_in heap ~start:src.base ~stop:(src.base + state.page_words)
+    Heap.objects_in heap ~start:src.base
+      ~stop:(src.base + Pages.page_words grid)
   in
   List.iter
-    (fun (o : Heap.obj) -> Heap.move heap o.oid ~dst:(dst.base + (o.addr - src.base)))
+    (fun (o : Heap.obj) ->
+      Heap.move heap o.oid ~dst:(dst.base + (o.addr - src.base)))
     objs;
-  Bytes.iteri
-    (fun i occupied -> if occupied = '\001' then Bytes.set dst.slots i '\001')
-    src.slots;
-  dst.used <- dst.used + src.used;
-  if dst.used = Bytes.length dst.slots then remove_avail state dst;
-  retire state src;
+  for i = 0 to Bytes.length src.slots - 1 do
+    if Bytes.get src.slots i = '\001' then Pages.occupy grid dst i
+  done;
+  Pages.retire grid src;
   src.base
 
 (* Find the cheapest affordable meshable pair across all classes and
    merge it. Only the [pair_window] sparsest pages per class are
    paired, keeping the search bounded and deterministic. *)
-let try_mesh state ctx =
+let try_mesh grid ctx =
   let heap = Ctx.heap ctx in
   let budget = Ctx.budget ctx in
+  let by_class = Array.make Pages.max_class [] in
+  Pages.fold
+    (fun (p : Pages.page) () -> by_class.(p.class_) <- p :: by_class.(p.class_))
+    grid ();
   let result = ref None in
   let class_ = ref 0 in
-  while !result = None && !class_ < max_class do
-    let pages =
-      Int_map.fold (fun _ p acc -> p :: acc) state.by_class.(!class_) []
-    in
-    (match pages with
+  while !result = None && !class_ < Pages.max_class do
+    (match by_class.(!class_) with
     | [] | [ _ ] -> ()
     | pages ->
         let by_sparsity =
           List.sort
-            (fun a b -> compare (a.used, a.base) (b.used, b.base))
+            (fun (a : Pages.page) (b : Pages.page) ->
+              compare (a.used, a.base) (b.used, b.base))
             pages
         in
-        let cands =
-          List.filteri (fun i _ -> i < state.pair_window) by_sparsity
-        in
+        let cands = List.filteri (fun i _ -> i < pair_window) by_sparsity in
         let rec try_pairs = function
           | [] -> ()
-          | src :: rest ->
+          | (src : Pages.page) :: rest ->
               let rec against = function
                 | [] -> try_pairs rest
                 | dst :: rest' ->
@@ -150,8 +85,8 @@ let try_mesh state ctx =
                       bitmaps_disjoint src dst
                       && Budget.can_move budget
                            (Evict.window_cost heap ~start:src.base
-                              ~size:state.page_words)
-                    then result := Some (mesh state ctx src dst)
+                              ~size:(Pages.page_words grid))
+                    then result := Some (mesh grid ctx src dst)
                     else against rest'
               in
               against rest
@@ -161,77 +96,18 @@ let try_mesh state ctx =
   done;
   !result
 
-let make ?(page_words = 1 lsl 6) ?(pair_window = 6) () =
-  let state = create_state ~page_words ~pair_window in
-  let site_span ctx ~span =
-    let free = Ctx.free_index ctx in
-    let size = span * state.page_words in
-    match
-      Free_index.first_aligned_fit_gap free ~size ~align:state.page_words
-    with
-    | Some a -> a
-    | None -> Word.align_up (Free_index.frontier free) ~align:state.page_words
-  in
-  (* Site a fresh single page: an existing grid cell if one is free,
-     the tail if it stays under the high-water mark, and otherwise a
-     cell released by meshing — growing only as the last resort. *)
-  let site_page ctx =
-    let free = Ctx.free_index ctx in
-    match
-      Free_index.first_aligned_fit free ~size:state.page_words
-        ~align:state.page_words
-    with
-    | Free_index.Gap a -> a
-    | Free_index.Tail tail ->
-        if tail + state.page_words <= Heap.high_water (Ctx.heap ctx) then tail
-        else begin
-          match try_mesh state ctx with Some cell -> cell | None -> tail
-        end
-  in
-  let alloc ctx ~size =
-    match class_of_size state size with
-    | None ->
-        site_span ctx
-          ~span:((size + state.page_words - 1) / state.page_words)
-    | Some class_ ->
-        let p =
-          match Int_map.min_binding_opt state.avail.(class_) with
-          | Some (_, base) -> Int_map.find base state.pages
-          | None ->
-              let base = site_page ctx in
-              let p =
-                {
-                  base;
-                  class_;
-                  slots = Bytes.make (slots_per_page state class_) '\000';
-                  used = 0;
-                }
-              in
-              add_page state p;
-              add_avail state p;
-              p
-        in
-        let slot = find_free_slot p in
-        Bytes.set p.slots slot '\001';
-        p.used <- p.used + 1;
-        if p.used = Bytes.length p.slots then remove_avail state p;
-        p.base + (slot * slot_size class_)
-  in
-  let on_free _ctx (o : Heap.obj) =
-    let base = Word.align_down o.addr ~align:state.page_words in
-    match Int_map.find_opt base state.pages with
-    | None -> () (* large object span; nothing to do *)
-    | Some p ->
-        let slot = (o.addr - p.base) / slot_size p.class_ in
-        if Bytes.get p.slots slot = '\001' then begin
-          Bytes.set p.slots slot '\000';
-          if p.used = Bytes.length p.slots then add_avail state p;
-          p.used <- p.used - 1;
-          if p.used = 0 then retire state p
-        end
+let make ?(page_words = 1 lsl 6) () =
+  let grid = Pages.create ~page_words in
+  (* A fresh page that would land at the tail: keep it there if it
+     stays under the high-water mark, and otherwise take a cell
+     released by meshing — growing only as the last resort. *)
+  let at_tail ctx tail =
+    if tail + page_words <= Heap.high_water (Ctx.heap ctx) then tail
+    else match try_mesh grid ctx with Some cell -> cell | None -> tail
   in
   Manager.make ~name:"meshing"
     ~description:
       "c-partial; Mesh-style size-class pages, merged when occupancy bitmaps \
        are disjoint (no intra-page moves)"
-    ~on_free alloc
+    ~on_free:(fun _ctx o -> ignore (Pages.release grid o))
+    (fun ctx ~size -> Pages.alloc grid ctx ~size ~at_tail)

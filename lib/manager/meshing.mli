@@ -1,13 +1,12 @@
-(** Mesh-style compacting manager (arXiv 1902.04738): page-aligned
-    size-class pages with per-page occupancy bitmaps; when a fresh page
-    would raise the high-water mark, two same-class pages with disjoint
+(** Mesh-style compacting manager (arXiv 1902.04738) on the
+    {!Pages} size-class grid: when a fresh page would raise the
+    high-water mark, two same-class pages with disjoint occupancy
     bitmaps are merged slot-for-slot (no intra-page moves) and the
-    released grid cell is reused. Merges charge the c-partial budget
-    exactly [Evict.window_cost] of the source page.
+    released grid cell is reused. Only the six sparsest pages of each
+    class are considered for pairing. Merges charge the c-partial
+    budget exactly [Evict.window_cost] of the source page.
 
     Stateful — construct one manager per execution. [page_words] must
-    be a power of two (default [2{^6}]); [pair_window] bounds how many
-    of the sparsest pages per class are considered when pairing
-    (default 6). *)
+    be a power of two (default [2{^6}]). *)
 
-val make : ?page_words:int -> ?pair_window:int -> unit -> Manager.t
+val make : ?page_words:int -> unit -> Manager.t

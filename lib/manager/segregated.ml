@@ -1,129 +1,14 @@
-open Pc_heap
-
 (* Segregated storage (slab-style): the heap is carved into fixed-size
    blocks on a block-aligned grid; each block is dedicated to one size
-   class (powers of two) and sliced into equal slots. Objects occupy
-   the head of a slot; slot padding is reserved by block ownership, not
-   handed to other classes.
-
-   Because all blocks live on the aligned grid, a fully-free grid cell
-   never belongs to a live block (empty blocks are retired eagerly), so
-   siting a new block through an aligned fit query is safe. *)
-
-module Int_map = Map.Make (Int)
-
-type block = {
-  base : int;
-  class_ : int; (* log2 of slot size *)
-  slots : Bytes.t; (* slot occupancy bitmap, one byte per slot *)
-  mutable used : int;
-}
-
-type state = {
-  block_words : int;
-  mutable blocks : block Int_map.t; (* base -> block *)
-  mutable avail : int Int_map.t array; (* class -> bases with free slots *)
-}
-
-let max_class = 48
-
-let create_state ~block_words =
-  if not (Word.is_pow2 block_words) then
-    invalid_arg "Segregated.make: block size must be a power of two";
-  {
-    block_words;
-    blocks = Int_map.empty;
-    avail = Array.make max_class Int_map.empty;
-  }
-
-let slot_size class_ = Word.pow2 class_
-
-let slots_per_block state class_ =
-  max 1 (state.block_words / slot_size class_)
-
-let add_avail state b =
-  state.avail.(b.class_) <- Int_map.add b.base b.base state.avail.(b.class_)
-
-let remove_avail state b =
-  state.avail.(b.class_) <- Int_map.remove b.base state.avail.(b.class_)
-
-let find_free_slot b =
-  let n = Bytes.length b.slots in
-  let rec loop i =
-    if i >= n then invalid_arg "Segregated: no free slot in avail block"
-    else if Bytes.get b.slots i = '\000' then i
-    else loop (i + 1)
-  in
-  loop 0
-
-let class_of_size state size =
-  let c = Word.log2_ceil (max 1 size) in
-  (* Objects larger than a block get a dedicated span of blocks. *)
-  if slot_size c >= state.block_words then None else Some c
+   class (powers of two) and sliced into equal slots. The grid itself
+   is [Pages]; a fresh block that finds no free grid cell simply grows
+   the heap. *)
 
 let make ?(block_words = 1 lsl 10) () =
-  let state = create_state ~block_words in
-  let site_block ctx ~span =
-    let free = Ctx.free_index ctx in
-    let size = span * state.block_words in
-    match
-      Free_index.first_aligned_fit_gap free ~size ~align:state.block_words
-    with
-    | Some a -> a
-    | None ->
-        Word.align_up (Free_index.frontier free) ~align:state.block_words
-  in
-  let alloc ctx ~size =
-    match class_of_size state size with
-    | None ->
-        (* Large object: dedicated span of whole blocks; no block
-           bookkeeping needed because the span is exactly the object's
-           footprint rounded to blocks and dies with it. *)
-        site_block ctx
-          ~span:((size + state.block_words - 1) / state.block_words)
-    | Some class_ ->
-        let b =
-          match Int_map.min_binding_opt state.avail.(class_) with
-          | Some (_, base) -> Int_map.find base state.blocks
-          | None ->
-              let base = site_block ctx ~span:1 in
-              let b =
-                {
-                  base;
-                  class_;
-                  slots = Bytes.make (slots_per_block state class_) '\000';
-                  used = 0;
-                }
-              in
-              state.blocks <- Int_map.add base b state.blocks;
-              add_avail state b;
-              b
-        in
-        let slot = find_free_slot b in
-        Bytes.set b.slots slot '\001';
-        b.used <- b.used + 1;
-        if b.used = Bytes.length b.slots then remove_avail state b;
-        b.base + (slot * slot_size class_)
-  in
-  let on_free _ctx (o : Heap.obj) =
-    let base = Word.align_down o.addr ~align:state.block_words in
-    match Int_map.find_opt base state.blocks with
-    | None -> () (* large object span; nothing to do *)
-    | Some b ->
-        let slot = (o.addr - b.base) / slot_size b.class_ in
-        if Bytes.get b.slots slot = '\001' then begin
-          Bytes.set b.slots slot '\000';
-          if b.used = Bytes.length b.slots then add_avail state b;
-          b.used <- b.used - 1;
-          if b.used = 0 then begin
-            (* Retire the empty block so its cell can be re-sited. *)
-            remove_avail state b;
-            state.blocks <- Int_map.remove b.base state.blocks
-          end
-        end
-  in
+  let grid = Pages.create ~page_words:block_words in
   Manager.make ~name:"segregated"
     ~description:
       "non-moving; slab-style segregated storage with power-of-two size \
        classes"
-    ~on_free alloc
+    ~on_free:(fun _ctx o -> ignore (Pages.release grid o))
+    (fun ctx ~size -> Pages.alloc grid ctx ~size ~at_tail:(fun _ tail -> tail))

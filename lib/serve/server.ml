@@ -90,12 +90,6 @@ let locked t f =
 
 let pool t = Option.get t.pool
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Job execution (worker domain)                                      *)
 
@@ -421,11 +415,11 @@ let start cfg =
   (* A peer hanging up mid-write must surface as EPIPE, not kill the
      daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  mkdir_p cfg.state_dir;
+  Pc_audit.Report.mkdir_p cfg.state_dir;
   let lock = Lockfile.acquire (Store.lock_path ~state_dir:cfg.state_dir) in
   (* We hold the state lock, so a pre-existing socket file is a dead
      daemon's leavings: unlink and rebind. *)
-  mkdir_p (Filename.dirname cfg.socket);
+  Pc_audit.Report.mkdir_p (Filename.dirname cfg.socket);
   if Sys.file_exists cfg.socket then (
     try Sys.remove cfg.socket with Sys_error _ -> ());
   let listen = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
@@ -509,5 +503,4 @@ let run cfg = wait (start cfg)
    this; the accept loop's 0.25s tick picks it up and starts the
    actual (mutex-taking) drain outside signal context. *)
 let request_drain t = Atomic.set t.drain_flag true
-let socket_path t = t.cfg.socket
 let restarts t = Supervisor.restarts (pool t)

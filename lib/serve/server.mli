@@ -69,8 +69,6 @@ val request_drain : t -> unit
     the accept loop's next tick) — for SIGTERM handlers, which must
     not take mutexes. *)
 
-val socket_path : t -> string
-
 val restarts : t -> int
 (** Worker domains respawned since boot (the supervision tree's
     restart counter). *)

@@ -30,12 +30,6 @@ type manifest = {
   timeout : float option;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let lock_path ~state_dir = Filename.concat state_dir "serve.lock"
 let tenants_dir ~state_dir = Filename.concat state_dir "tenants"
 
@@ -94,7 +88,7 @@ let manifest_of_json j =
 
 let save ~state_dir m =
   let dir = submissions_dir ~state_dir m.tenant in
-  mkdir_p dir;
+  Pc_audit.Report.mkdir_p dir;
   let path = manifest_path ~state_dir m in
   let tmp = path ^ ".tmp" in
   let content = Json.to_string ~indent:true (manifest_to_json m) ^ "\n" in

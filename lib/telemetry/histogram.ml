@@ -54,8 +54,6 @@ let bucket_bounds k =
   if k < 0 || k >= nbuckets then invalid_arg "Histogram.bucket_bounds";
   (1 lsl k, if k = nbuckets - 1 then max_int else 1 lsl (k + 1))
 
-let bucket_count t k = t.buckets.(k)
-
 let observe t v =
   if !Sink.active then begin
     if v <= 0 then t.zeros <- t.zeros + 1

@@ -31,7 +31,6 @@ val bucket_index : int -> int
 val bucket_bounds : int -> int * int
 (** [(lo, hi)] with [lo] inclusive, [hi] exclusive. *)
 
-val bucket_count : t -> int -> int
 val iter_buckets : t -> (int -> int -> unit) -> unit
 (** Iterates non-empty buckets in index order. *)
 

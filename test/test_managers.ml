@@ -125,7 +125,7 @@ let test_compacting_reuses_window () =
   let budget = Budget.create ~c:4.0 in
   let ctx = Ctx.create ~budget ~live_bound:4096 () in
   let heap = Ctx.heap ctx in
-  let mgr = Compacting.make ~min_window:64 () in
+  let mgr = Compacting.make () in
   (* layout: [0,60) live, [60,64) free, 1-word obstacle at 70,
      [128,176) live. The only 64-aligned window that can be cleared is
      [64,128), at the cost of moving the obstacle into the side gap. *)
