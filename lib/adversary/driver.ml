@@ -13,19 +13,9 @@ type move_note = { oid : Oid.t; src : int; dst : int; size : int }
 
 exception Live_bound_exceeded of { requested : int; live : int; bound : int }
 
-type t = {
-  ctx : Ctx.t;
-  manager : Manager.t;
-  mutable pending : move_note list; (* newest first *)
-}
+type t = { ctx : Ctx.t; manager : Manager.t }
 
-let create ctx manager =
-  let t = { ctx; manager; pending = [] } in
-  Heap.on_event (Ctx.heap ctx) (function
-    | Heap.Move { oid; size; src; dst } ->
-        t.pending <- { oid; src; dst; size } :: t.pending
-    | Heap.Alloc _ | Heap.Free _ -> ());
-  t
+let create ctx manager = { ctx; manager }
 
 let heap t = Ctx.heap t.ctx
 let ctx t = t.ctx
@@ -34,18 +24,22 @@ let live_words t = Heap.live_words (heap t)
 
 (* Allocate [size] words. Returns the new object, its address, and the
    compaction moves the manager performed while serving the request
-   (oldest first). *)
+   (oldest first), read from the heap's move log, which is reset as
+   the request starts: moves made in [on_free] are not reported. *)
 let alloc t ~size =
   if size <= 0 then invalid_arg "Driver.alloc: non-positive size";
   let live = live_words t in
   let bound = live_bound t in
   if live + size > bound then
     raise (Live_bound_exceeded { requested = size; live; bound });
-  t.pending <- [];
+  let heap = heap t in
+  Heap.reset_move_log heap;
   let addr = Manager.alloc t.manager t.ctx ~size in
-  let moves = List.rev t.pending in
-  t.pending <- [];
-  let oid = Heap.alloc (heap t) ~addr ~size in
+  let moves =
+    Heap.fold_move_log heap ~init:[] ~f:(fun oid ~src ~dst ~size acc ->
+        { oid; src; dst; size } :: acc)
+  in
+  let oid = Heap.alloc heap ~addr ~size in
   (oid, addr, moves)
 
 let free t oid =

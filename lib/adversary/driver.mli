@@ -15,7 +15,8 @@ val create : Pc_manager.Ctx.t -> Pc_manager.Manager.t -> t
 
 val alloc : t -> size:int -> Pc_heap.Oid.t * int * move_note list
 (** Returns the new object, its address, and the compaction moves the
-    manager performed while serving this request (oldest first).
+    manager performed while serving this request (oldest first). Moves
+    a manager makes in its [on_free] are not reported.
     Raises {!Live_bound_exceeded} if the program would exceed [M]. *)
 
 val free : t -> Pc_heap.Oid.t -> unit

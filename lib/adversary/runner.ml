@@ -76,10 +76,10 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?(audit_every = 64) ?audit_c
           end)
     end;
     (* Listener order matters: Heap.on_event fires most-recently-added
-       first, and Ctx wired the budget at heap creation (so it fires
-       last). Attaching the oracle before the trace recorder means the
-       recorder runs first on every event — the violating event is
-       already recorded when the oracle raises. *)
+       first, and the kernel charges the budget only after every
+       listener has seen a move. Attaching the oracle before the trace
+       recorder means the recorder runs first on every event — the
+       violating event is already recorded when the oracle raises. *)
     let oracle =
       if audit = Pc_audit.Oracle.Off then None
       else

@@ -42,13 +42,17 @@ val present_count : t -> int
 val iter_present : t -> (record -> unit) -> unit
 (** Visits every present record in the order an [Oid.Table] created
     with size 1024 would, and the programs' decisions (and so their
-    event streams) depend on it: buckets [Hashtbl.hash oid land (nb-1)]
-    ascending, newest first within a bucket, where [nb] starts at 1024
-    and doubles, keeping relative order, whenever the count passes
-    [2 nb]. The callback must not alloc or free through the view. *)
+    event streams) depend on it. The order is a sort key: bucket
+    [Hashtbl.hash oid land (nb-1)] ascending, then oid descending,
+    where [nb] starts at 1024 and doubles whenever the count passes
+    [2 nb]. That is the table's order because the view inserts oids
+    in increasing order, the table puts each new binding first in its
+    bucket, and a resize keeps each chain's relative order. The order
+    is fixed before the first callback. The callback must not alloc or
+    free through the view. *)
 
 val fold_present : t -> init:'a -> f:('a -> record -> 'a) -> 'a
-(** {!iter_present}'s order. *)
+(** {!iter_present}'s order, under the same rule. *)
 
 val sum_present : t -> (int -> int -> int) -> int
 (** [sum_present t f] is the sum of [f orig_addr size] over the present

@@ -41,6 +41,9 @@ type t = {
   mutable freed_total : int;
   mutable high_water : int;
   mutable listeners : (event -> unit) list;
+  mutable budget : Budget.t; (* recharged by alloc, charged by move *)
+  mutable move_log : int array; (* oid, src, dst, size per move *)
+  mutable logged : int; (* ints used in [move_log]; -1 while off *)
 }
 
 let create () =
@@ -57,6 +60,9 @@ let create () =
     freed_total = 0;
     high_water = 0;
     listeners = [];
+    budget = Budget.unlimited ();
+    move_log = [||];
+    logged = -1;
   }
 
 (* Telemetry: mutation counts and word volumes. Off costs one
@@ -74,6 +80,38 @@ let alloc_size_h = T.Registry.histogram "heap.alloc_size"
 
 let on_event t f = t.listeners <- f :: t.listeners
 let[@inline] has_listeners t = t.listeners != []
+let set_budget t b = t.budget <- b
+
+(* The move log: four ints a move, appended while it is on. The Driver
+   resets it when a request starts, so it holds one request's moves. *)
+let reset_move_log t =
+  if Array.length t.move_log = 0 then t.move_log <- Array.make 64 0;
+  t.logged <- 0
+
+let log_move t oid src dst size =
+  let n = t.logged in
+  if n + 4 > Array.length t.move_log then begin
+    let log = Array.make (2 * Array.length t.move_log) 0 in
+    Array.blit t.move_log 0 log 0 n;
+    t.move_log <- log
+  end;
+  let log = t.move_log in
+  log.(n) <- oid;
+  log.(n + 1) <- src;
+  log.(n + 2) <- dst;
+  log.(n + 3) <- size;
+  t.logged <- n + 4
+
+let fold_move_log t ~init ~f =
+  let log = t.move_log in
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      go (i - 4)
+        (f (Oid.of_int log.(i)) ~src:log.(i + 1) ~dst:log.(i + 2)
+           ~size:log.(i + 3) acc)
+  in
+  go (t.logged - 4) init
 
 let emit t ev =
   match t.listeners with
@@ -130,6 +168,7 @@ let alloc t ~addr ~size =
   bump_high_water t (addr + size);
   let oid = Oid.of_int oid in
   if has_listeners t then emit t (Alloc { oid; addr; size });
+  Budget.on_alloc t.budget size;
   if !T.Sink.active then begin
     T.Counter.incr allocs_c;
     T.Counter.add alloc_words_c size;
@@ -154,7 +193,9 @@ let free t oid =
   if has_listeners t then emit t (Free { oid; addr; size })
 
 (* A move to the object's own address is no move: no event, no
-   [moved_total], and no [heap.moves] count. *)
+   [moved_total], and no [heap.moves] count. The budget is charged
+   after the event goes out, so a listener (the oracle, a recorder)
+   sees an over-budget move before [Budget.Exceeded] is raised. *)
 let move t oid ~dst =
   let i = live_oid t oid in
   let src = addr_of t i in
@@ -181,7 +222,9 @@ let move t oid ~dst =
       T.Counter.incr moves_c;
       T.Counter.add moved_words_c size
     end;
-    if has_listeners t then emit t (Move { oid; size; src; dst })
+    if has_listeners t then emit t (Move { oid; size; src; dst });
+    if t.logged >= 0 then log_move t i src dst size;
+    Budget.charge_move t.budget size
   end
 
 (* [iter_live]/[fold_live] visit a snapshot taken up front, so the

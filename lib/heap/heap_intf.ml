@@ -110,7 +110,10 @@ module type HEAP = sig
 
   val on_event : t -> (event -> unit) -> unit
   (** Subscribe to heap events; listeners fire synchronously, most
-      recently added first. *)
+      recently added first. They are for observers: trace recorders,
+      the audit oracles and [full] telemetry. The kernel feeds the
+      c-partial budget and the driver's move reports without one, so
+      an untraced run attaches none and builds no event. *)
 
   val alloc : t -> addr:int -> size:int -> Oid.t
   (** Place a fresh object. Raises [Invalid_argument] if the extent is

@@ -80,7 +80,8 @@ let iter t f =
    reference to a dropped allocation (or any placement the heap
    rejects) is reported as [Error], never an exception, so "trace no
    longer well-formed" is an ordinary shrink rejection. Exceptions
-   raised by heap-event listeners (oracles, budgets) propagate. *)
+   raised by heap-event listeners (oracles) or by a kernel heap's
+   budget propagate. *)
 exception Reject of string
 
 let replay_onto (type h) (module H : Heap_intf.HEAP with type t = h) t

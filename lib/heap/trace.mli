@@ -31,7 +31,8 @@ val replay : t -> (Heap.t, string) result
     the first event the heap rejects (unknown or duplicate oid,
     non-free extent) — for a shrinker this is a candidate rejection,
     not a crash. Exceptions raised by heap-event listeners attached to
-    the replay heap (oracles, budgets) propagate unchanged. *)
+    the replay heap (oracles), or by a kernel heap's budget, propagate
+    unchanged. *)
 
 val replay_onto :
   (module Heap_intf.HEAP with type t = 'h) -> t -> 'h -> (unit, string) result

@@ -20,11 +20,18 @@ open Pc_heap
    — a gap in the free index may still be bucket-reserved. Empty
    buckets are dropped eagerly, shrinking the class back to its
    initial capacity at the next allocation. A bucket is a [Pages.page]
-   outside any grid: its slot bitmap is the page's. *)
+   outside any grid: its slot bitmap is the page's.
+
+   Each class also keeps the live words in its bucket, which is the
+   bucket's [Evict.window_cost]: every object in an arena sits whole
+   in one of its slots, and nothing else is ever placed across an
+   owned arena. A postponed resize reads it instead of walking the
+   arena on every allocation into the full class. *)
 
 type state = {
   init_slots : int;
   arenas : Pages.page option array; (* class -> current bucket *)
+  live : int array; (* class -> live words in its bucket *)
 }
 
 let max_class = 62
@@ -35,7 +42,11 @@ let arena_words (a : Pages.page) =
 let create_state ~init_slots =
   if init_slots < 1 then
     invalid_arg "Cost_oblivious.make: init_slots must be positive";
-  { init_slots; arenas = Array.make max_class None }
+  {
+    init_slots;
+    arenas = Array.make max_class None;
+    live = Array.make max_class 0;
+  }
 
 (* End of the first owned arena overlapping [addr, addr+size), if
    any. Deterministic: arenas are scanned in class order. *)
@@ -78,11 +89,7 @@ let resize state ctx class_ =
   let heap = Ctx.heap ctx in
   let slot = Pages.slot_size class_ in
   let old = state.arenas.(class_) in
-  let cost =
-    match old with
-    | None -> 0
-    | Some a -> Evict.window_cost heap ~start:a.base ~size:(arena_words a)
-  in
+  let cost = state.live.(class_) in
   if not (Budget.can_move (Ctx.budget ctx) cost) then None
   else begin
     let cap =
@@ -98,6 +105,7 @@ let resize state ctx class_ =
       | Some a ->
           Heap.objects_in heap ~start:a.base ~stop:(a.base + arena_words a)
     in
+    (* The class's live words move with it: [live] stays. *)
     List.iteri
       (fun i (o : Heap.obj) ->
         Heap.move heap o.oid ~dst:(base + (i * slot));
@@ -107,8 +115,24 @@ let resize state ctx class_ =
     Some a
   end
 
-let make ?(init_slots = 4) () =
-  let state = create_state ~init_slots in
+(* Raises [Failure] when a bucket's live words drift from its
+   [Evict.window_cost]. *)
+let check_costs state heap =
+  Array.iteri
+    (fun class_ arena ->
+      let cost =
+        match arena with
+        | None -> 0
+        | Some (a : Pages.page) ->
+            Evict.window_cost heap ~start:a.base ~size:(arena_words a)
+      in
+      if state.live.(class_) <> cost then
+        failwith
+          (Printf.sprintf "Cost_oblivious: class %d memo %d, window cost %d"
+             class_ state.live.(class_) cost))
+    state.arenas
+
+let of_state state =
   let alloc ctx ~size =
     let class_ = Word.log2_ceil (max 1 size) in
     let arena =
@@ -120,6 +144,7 @@ let make ?(init_slots = 4) () =
     | Some a ->
         let slot = Pages.find_free_slot a in
         Pages.set_slot a slot;
+        state.live.(class_) <- state.live.(class_) + size;
         a.base + (slot * Pages.slot_size class_)
     | None ->
         (* Resize postponed: overflow outside every bucket; no
@@ -152,8 +177,10 @@ let make ?(init_slots = 4) () =
         let slot = (o.addr - a.base) / Pages.slot_size class_ in
         (* Drop empty buckets: the class restarts at init capacity,
            the resizing-down half of the scheme. *)
-        if Pages.clear_slot a slot && a.used = 0 then
-          state.arenas.(class_) <- None
+        if Pages.clear_slot a slot then begin
+          state.live.(class_) <- state.live.(class_) - o.size;
+          if a.used = 0 then state.arenas.(class_) <- None
+        end
     | _ -> () (* overflow object; nothing to track *)
   in
   Manager.make ~name:"cost-oblivious"
@@ -161,3 +188,5 @@ let make ?(init_slots = 4) () =
       "c-partial; cost-oblivious resizing buckets: doubling size-class \
        arenas, migrations paid by allocation volume"
     ~on_free alloc
+
+let make ?(init_slots = 4) () = of_state (create_state ~init_slots)

@@ -4,10 +4,11 @@ open Pc_heap
    c-partial compaction budget, and the program's declared live-space
    bound M (part of the model — the (c+1)M manager of [4] needs it).
 
-   Budget accounting is wired automatically: every Alloc event
-   recharges the budget, every Move event drains it (raising
-   Budget.Exceeded when a manager over-compacts). Managers therefore
-   never touch the budget except to *query* the remaining quota. *)
+   Budget accounting is wired into the heap kernel: [Heap.alloc]
+   recharges the budget and [Heap.move] drains it (raising
+   Budget.Exceeded when a manager over-compacts), with no event
+   listener involved. Managers therefore never touch the budget except
+   to *query* the remaining quota. *)
 
 type candidate = { window_start : int; cost : int }
 
@@ -33,26 +34,11 @@ type t = {
   windows : window_scan;
 }
 
-(* Telemetry: words flowing through the budget — recharge on alloc,
-   drain on move — so snapshots show compaction work against the c·x
-   quota the paper grants per x-word allocation. *)
-module T = Pc_telemetry
-
-let recharge_words_c = T.Registry.counter "manager.budget_recharge_words"
-let compacted_words_c = T.Registry.counter "manager.compacted_words"
-
 let create ?budget ~live_bound () =
   if live_bound <= 0 then invalid_arg "Ctx.create: non-positive live bound";
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let heap = Heap.create () in
-  Heap.on_event heap (function
-    | Heap.Alloc o ->
-        Budget.on_alloc budget o.size;
-        if !T.Sink.active then T.Counter.add recharge_words_c o.size
-    | Heap.Move m ->
-        Budget.charge_move budget m.size;
-        if !T.Sink.active then T.Counter.add compacted_words_c m.size
-    | Heap.Free _ -> ());
+  Heap.set_budget heap budget;
   {
     heap;
     budget;

@@ -2,9 +2,10 @@
 
     Bundles the heap, the c-partial compaction budget, and the
     program's declared live-space bound [M]. Budget accounting is wired
-    automatically: heap [Alloc] events recharge the budget and [Move]
-    events drain it, raising [Pc_heap.Budget.Exceeded] when a manager
-    compacts beyond its quota. *)
+    into the heap kernel ({!Pc_heap.Heap.set_budget}): [Heap.alloc]
+    recharges the budget and [Heap.move] drains it, raising
+    [Pc_heap.Budget.Exceeded] when a manager compacts beyond its
+    quota. No event listener is attached. *)
 
 type candidate = { window_start : int; cost : int }
 (** An aligned window and the total size of the objects it
@@ -35,7 +36,7 @@ type t = {
 }
 
 val create : ?budget:Pc_heap.Budget.t -> live_bound:int -> unit -> t
-(** Fresh heap with budget listeners installed. [budget] defaults to
+(** Fresh heap that feeds [budget], which defaults to
     {!Pc_heap.Budget.unlimited}. *)
 
 val heap : t -> Pc_heap.Heap.t

@@ -8,13 +8,24 @@
     Empty pages are retired eagerly, so a fully-free grid cell never
     belongs to a live page and siting a page through an aligned fit
     query is safe. {!Cost_oblivious} arenas reuse the page record and
-    its slot bitmap without the grid. *)
+    its slot bitmap without the grid.
+
+    Costs: the grid finds a page by page number in a flat array, and
+    keeps each class's available pages as a bitset of page numbers
+    with a count, so {!release}, {!lowest_avail}, {!highest_avail} and
+    {!avail_count} never walk the pages. A page's [hint] lets
+    {!find_free_slot} skip the occupied prefix of its bitmap. {!fold}
+    walks the page array, so it costs one step per grid cell up to
+    the highest page. *)
 
 type page = private {
   base : int;
   class_ : int;  (** log2 of the slot size *)
   slots : Bytes.t;  (** ['\001'] for an occupied slot *)
   mutable used : int;  (** occupied slots *)
+  mutable hint : int;
+      (** a lower bound on the lowest free slot: every slot below it is
+          occupied *)
 }
 
 val slot_size : int -> int
@@ -28,13 +39,17 @@ val page : base:int -> class_:int -> slots:int -> page
 val is_full : page -> bool
 
 val find_free_slot : page -> int
-(** The lowest free slot. Raises [Invalid_argument] on a full page. *)
+(** The lowest free slot, searched from the page's [hint] (which it
+    then raises to the slot found). Raises [Invalid_argument] on a
+    full page. *)
 
 val set_slot : page -> int -> unit
-(** Mark a free slot occupied. *)
+(** Mark a free slot occupied, raising [hint] past it when it sat at
+    the hint. *)
 
 val clear_slot : page -> int -> bool
-(** Free the slot if it is occupied; [true] iff it was. *)
+(** Free the slot if it is occupied, lowering [hint] to it; [true] iff
+    it was occupied. *)
 
 (** {1 The grid} *)
 
@@ -62,7 +77,10 @@ val lowest_avail : t -> int -> page option
 (** The class's lowest-addressed page with a free slot. *)
 
 val highest_avail : t -> int -> page option
+(** The class's highest-addressed page with a free slot. *)
+
 val avail_count : t -> int -> int
+(** How many of the class's pages have a free slot; O(1). *)
 
 val take_slot : t -> page -> int
 (** Occupy the lowest free slot of a grid page; returns its address. *)

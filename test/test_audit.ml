@@ -36,6 +36,26 @@ let test_budget_trip () =
   Alcotest.(check int) "seq is the violating event" 2 v.seq;
   ignore (Oracle.seq o)
 
+(* A heap made by [Ctx.create ~budget] with the oracle auditing the same
+   c: the over-budget move reaches the oracle before the kernel charges
+   the budget, so the oracle reports it and [Budget.Exceeded] does
+   not. *)
+let test_oracle_sees_move_before_budget () =
+  let budget = Budget.create ~c:4.0 in
+  let ctx = Pc_manager.Ctx.create ~budget ~live_bound:64 () in
+  let h = Pc_manager.Ctx.heap ctx in
+  let _ = Oracle.attach ~sample_every:1 ~c:4.0 h in
+  let a = Heap.alloc h ~addr:0 ~size:8 in
+  let v =
+    match Heap.move h a ~dst:16 with
+    | () -> Alcotest.fail "expected an oracle violation"
+    | exception Oracle.Violation v -> v
+    | exception Budget.Exceeded _ ->
+        Alcotest.fail "Budget.Exceeded raised before the oracle saw the move"
+  in
+  Alcotest.(check string) "oracle" "budget" v.oracle;
+  Alcotest.(check int) "budget not charged" 0 (Budget.moved budget)
+
 let test_live_bound_trip () =
   let h = Heap.create () in
   let _ = Oracle.attach ~sample_every:1 ~live_bound:8 h in
@@ -320,6 +340,8 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "budget trips" `Quick test_budget_trip;
+          Alcotest.test_case "oracle sees a move before the budget" `Quick
+            test_oracle_sees_move_before_budget;
           Alcotest.test_case "live-bound trips" `Quick test_live_bound_trip;
           Alcotest.test_case "only filter" `Quick test_only_filter;
           Alcotest.test_case "off is inert" `Quick test_off_is_inert;

@@ -1,7 +1,8 @@
 open Pc_heap
 
 (* The kernel's hot paths allocate nothing on the minor heap: heap
-   alloc/free/move with no listener attached, free-index occupy and
+   alloc/free/move with no listener attached (with a c-partial budget
+   too, which the kernel feeds itself), free-index occupy and
    release, bitset updates and neighbour queries. Each test runs 10k
    operations of a kind on a structure whose capacity was grown
    beforehand (growing a large array goes to the major heap, but a
@@ -39,9 +40,8 @@ let permutation rng =
    counts gaps that long in a hashtable, which does allocate. *)
 let cell i = 8 * (i + (i / 255))
 
-let test_heap () =
+let heap_cycles h =
   let rng = rng () in
-  let h = Heap.create () in
   Heap.free h (Heap.alloc h ~addr:far ~size:1);
   for k = 0 to n / 255 do
     ignore (Heap.alloc h ~addr:(8 * ((256 * k) + 255)) ~size:8 : Oid.t)
@@ -78,6 +78,19 @@ let test_heap () =
   Alcotest.(check int) "every move moved" (2 * Array.fold_left ( + ) 0 sizes)
     (Heap.moved_total h);
   Heap.check_invariants h
+
+let test_heap () = heap_cycles (Heap.create ())
+
+(* A heap made by [Ctx.create ~budget], as every run makes it. *)
+let test_budgeted_heap () =
+  let budget = Budget.create ~c:2.0 in
+  let ctx = Pc_manager.Ctx.create ~budget ~live_bound:(4 * far) () in
+  let h = Pc_manager.Ctx.heap ctx in
+  (* recharges the quota far past the moves the cycles make *)
+  ignore (Heap.alloc h ~addr:(2 * far) ~size:far : Oid.t);
+  heap_cycles h;
+  Alcotest.(check int) "the budget paid every move" (Heap.moved_total h)
+    (Budget.moved budget)
 
 (* First fit into a fragmented index, then release in random order. *)
 let test_free_index () =
@@ -165,6 +178,8 @@ let () =
       ( "minor words",
         [
           Alcotest.test_case "heap alloc/move/free" `Quick test_heap;
+          Alcotest.test_case "budgeted heap alloc/move/free" `Quick
+            test_budgeted_heap;
           Alcotest.test_case "free index fit/occupy/release" `Quick
             test_free_index;
           Alcotest.test_case "bitset add/succ/pred/remove" `Quick test_bitset;

@@ -337,6 +337,33 @@ let test_cost_oblivious_resizes_on_volume () =
     (Heap.is_free heap ~addr:0 ~size:16);
   Heap.check_invariants heap
 
+(* The per-class bucket cost a postponed resize reads is a running sum;
+   it must equal [Evict.window_cost] over the bucket after every step.
+   The check runs before each request and after each free, so every
+   placed object and every migration is covered. c = 2 keeps the
+   budget tight, so resizes are postponed and classes overflow too. *)
+let prop_cost_oblivious_memo =
+  QCheck.Test.make ~name:"cost-oblivious bucket cost memo" ~count:20
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let st = Cost_oblivious.create_state ~init_slots:2 in
+      let inner = Cost_oblivious.of_state st in
+      let check ctx = Cost_oblivious.check_costs st (Ctx.heap ctx) in
+      let manager =
+        Manager.make ~name:"cost-oblivious"
+          ~on_free:(fun ctx o ->
+            Manager.on_free inner ctx o;
+            check ctx)
+          (fun ctx ~size ->
+            check ctx;
+            Manager.alloc inner ctx ~size)
+      in
+      let o =
+        Runner.run ~c:2.0 ~program:(Helpers.churn_program ~m:2048 ~seed)
+          ~manager ()
+      in
+      o.moved > 0)
+
 let test_polylog_epoch_repack () =
   let budget = Budget.create ~c:2.0 in
   let ctx = Ctx.create ~budget ~live_bound:64 () in
@@ -445,5 +472,9 @@ let () =
           Alcotest.test_case "duplicate registration" `Quick
             test_register_rejects_duplicates;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_churn_all ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_churn_all;
+          QCheck_alcotest.to_alcotest prop_cost_oblivious_memo;
+        ] );
     ]

@@ -78,6 +78,44 @@ let test_move_notifications () =
   | [ { Driver.src = 4; dst = 0; size = 4; _ } ] -> ()
   | l -> Alcotest.failf "unexpected moves (%d)" (List.length l)
 
+(* Moves a manager makes in [on_free] are not the next request's: the
+   driver reports only the moves made while serving a request. *)
+let test_on_free_moves_unreported () =
+  let mover =
+    Manager.make ~name:"free-mover"
+      ~on_free:(fun ctx _ ->
+        let heap = Ctx.heap ctx in
+        match Heap.live_list heap with
+        | o :: _ -> Heap.move heap o.oid ~dst:(Heap.high_water heap + 8)
+        | [] -> ())
+      (fun ctx ~size:_ -> Free_index.frontier (Ctx.free_index ctx))
+  in
+  let seen = ref [] in
+  let program =
+    simple_program ~live_bound:64 ~max_size:8 (fun driver ->
+        let a, _, _ = Driver.alloc driver ~size:4 in
+        let _b, _, _ = Driver.alloc driver ~size:4 in
+        Driver.free driver a;
+        let _, _, moves = Driver.alloc driver ~size:4 in
+        seen := moves)
+  in
+  let o = Runner.run ~program ~manager:mover () in
+  Alcotest.(check int) "on_free moved b" 4 o.moved;
+  Alcotest.(check int) "no move reported" 0 (List.length !seen)
+
+(* An untraced run feeds the budget and the driver without a heap
+   listener: the manager sees none on its heap. *)
+let test_untraced_run_has_no_listener () =
+  let listened = ref false in
+  let probe =
+    Manager.make ~name:"probe" (fun ctx ~size ->
+        if Heap.has_listeners (Ctx.heap ctx) then listened := true;
+        Manager.alloc First_fit.manager ctx ~size)
+  in
+  let program = Helpers.churn_program ~m:1024 ~seed:Helpers.churn_seed in
+  ignore (Runner.run ~c:8.0 ~program ~manager:probe () : Runner.outcome);
+  Alcotest.(check bool) "no listener" false !listened
+
 let test_runner_accounting () =
   let program =
     simple_program ~live_bound:100 ~max_size:10 (fun driver ->
@@ -156,10 +194,14 @@ let () =
           Alcotest.test_case "live bound enforced" `Quick test_live_bound_enforced;
           Alcotest.test_case "free unblocks" `Quick test_free_unblocks;
           Alcotest.test_case "move notifications" `Quick test_move_notifications;
+          Alcotest.test_case "on_free moves unreported" `Quick
+            test_on_free_moves_unreported;
         ] );
       ( "runner",
         [
           Alcotest.test_case "accounting" `Quick test_runner_accounting;
+          Alcotest.test_case "untraced run attaches no listener" `Quick
+            test_untraced_run_has_no_listener;
           Alcotest.test_case "program validation" `Quick test_program_validation;
         ] );
       ( "view",
