@@ -101,6 +101,24 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
+(* A temp name next to [path] that no other writer holds: the pid
+   tells processes apart, the counter tells apart the domains and
+   threads of one process. *)
+let tmp_counter = Atomic.make 0
+
+let tmp_name path =
+  Printf.sprintf "%s.tmp-%d-%d" path (Unix.getpid ())
+    (Atomic.fetch_and_add tmp_counter 1)
+
+let write_file_atomic path contents =
+  let tmp = tmp_name path in
+  try
+    write_file tmp contents;
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 (* Best-effort provenance: the commit the violation was produced at. *)
 let git_commit () =
   match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
@@ -134,8 +152,6 @@ let meta_text ~(violation : Oracle.violation) ~info ~events_full ~events_min
   kv "replay" (Printf.sprintf "pc replay %s" dir);
   Buffer.contents b
 
-let tmp_counter = Atomic.make 0
-
 let emit ?dir ~info ~violation ~events_full minimized =
   let parent = match dir with Some d -> d | None -> default_dir () in
   let trace_text = Trace.to_string minimized in
@@ -165,10 +181,7 @@ let emit ?dir ~info ~violation ~events_full minimized =
     }
   in
   mkdir_p parent;
-  let tmp =
-    Printf.sprintf "%s.tmp-%d-%d" final (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_counter 1)
-  in
+  let tmp = tmp_name final in
   rm_rf tmp;
   mkdir_p tmp;
   write_file (Filename.concat tmp "meta.txt")

@@ -41,6 +41,15 @@ val mkdir_p : string -> unit
     result cache, sweep journals, lock files and [pc serve]'s state
     directory use it too. *)
 
+val write_file_atomic : string -> string -> unit
+(** [write_file_atomic path contents] writes [contents] to a temp file
+    next to [path], named uniquely per process and per call, then
+    renames it over [path]: readers see the old file or the whole new
+    one, and concurrent writers of one path never share a temp file.
+    If the write or the rename raises, the temp file is removed and the
+    exception re-raised. The result cache and [pc serve]'s manifests
+    use it. *)
+
 val capture :
   ?dir:string ->
   ?max_shrink_tests:int ->

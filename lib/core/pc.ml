@@ -42,11 +42,11 @@ end
 (* The JSON reader/writer shared by every serialised record *)
 module Json = Pc_json.Json
 
-(* The sweep engine: deterministic job specs, a Domain worker pool,
-   and the content-addressed result cache *)
+(* The sweep engine: deterministic job specs, the result cache, the
+   checkpoint journal, and the supervised Domain worker pool *)
 module Exec = struct
   module Spec = Pc_exec.Spec
-  module Pool = Pc_exec.Pool
+  module Supervisor = Pc_exec.Supervisor
   module Cache = Pc_exec.Cache
   module Checkpoint = Pc_exec.Checkpoint
   module Faults = Pc_exec.Faults
@@ -55,12 +55,11 @@ module Exec = struct
 end
 
 (* The sweep daemon: wire framing + protocol, per-tenant state store,
-   a self-restarting supervised worker pool, and the client half *)
+   the server, and the client half *)
 module Serve = struct
   module Wire = Pc_serve.Wire
   module Protocol = Pc_serve.Protocol
   module Store = Pc_serve.Store
-  module Supervisor = Pc_serve.Supervisor
   module Server = Pc_serve.Server
   module Client = Pc_serve.Client
 end

@@ -55,11 +55,13 @@ end
     protocol and telemetry snapshots. *)
 module Json = Pc_json.Json
 
-(** The sweep engine: deterministic job specs, a [Domain] worker pool,
-    and the content-addressed on-disk result cache. *)
+(** The sweep engine: deterministic job specs, the content-addressed
+    on-disk result cache, the checkpoint journal, and the supervised
+    [Domain] worker pool that both batch sweeps ({!Exec.Engine.run})
+    and the sweep daemon run on. *)
 module Exec : sig
   module Spec = Pc_exec.Spec
-  module Pool = Pc_exec.Pool
+  module Supervisor = Pc_exec.Supervisor
   module Cache = Pc_exec.Cache
   module Checkpoint = Pc_exec.Checkpoint
   module Faults = Pc_exec.Faults
@@ -69,13 +71,12 @@ end
 
 (** The sweep daemon ([pc serve]) and its client half: length-prefixed
     wire framing, the versioned JSON protocol, the per-tenant state
-    store, a self-restarting supervised worker pool, and the
-    submit/wait/results client with backoff. *)
+    store, the server (its workers are an {!Exec.Supervisor} pool), and
+    the submit/wait/results client with backoff. *)
 module Serve : sig
   module Wire = Pc_serve.Wire
   module Protocol = Pc_serve.Protocol
   module Store = Pc_serve.Store
-  module Supervisor = Pc_serve.Supervisor
   module Server = Pc_serve.Server
   module Client = Pc_serve.Client
 end

@@ -8,9 +8,10 @@ open Pc_json
 
    Each file records the format version, the canonical spec key (so a
    digest collision or a stale format is detected, never silently
-   served), the full spec, and the outcome. Writes go through a
-   temporary file + rename so a crashed or concurrent run never leaves
-   a truncated entry behind. *)
+   served), the full spec, and the outcome. Writes go through
+   [Pc_audit.Report.write_file_atomic] (a temp file unique to the
+   writer, then a rename), so a crashed run never leaves a truncated
+   entry behind and concurrent stores of one spec never collide. *)
 
 type t = { dir : string }
 
@@ -149,20 +150,4 @@ let store ?faults t spec (outcome : Runner.outcome) =
         | Some torn -> torn
         | None -> full)
   in
-  let final = path t spec in
-  let tmp = Printf.sprintf "%s.%d.tmp" final (Unix.getpid ()) in
-  (* Write-to-temp + atomic rename, and never leave the temp file
-     behind: a writer that raises mid-write (full disk, injected
-     fault, killed worker) must not litter the cache directory. *)
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc content)
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  try Sys.rename tmp final
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Pc_audit.Report.write_file_atomic (path t spec) content

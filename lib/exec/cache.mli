@@ -45,8 +45,10 @@ val find : ?faults:Faults.t -> t -> Spec.t -> Pc_adversary.Runner.outcome option
     ({!lookup} collapsed). *)
 
 val store : ?faults:Faults.t -> t -> Spec.t -> Pc_adversary.Runner.outcome -> unit
-(** Atomic (write-to-temp + rename); a writer that raises mid-write
-    removes its temp file. [faults] may tear the written content —
+(** Atomic (write-to-temp + rename, see
+    {!Pc_audit.Report.write_file_atomic}): each store has its own temp
+    file, so concurrent stores of one spec never collide, and a writer
+    that raises mid-write removes its temp file. [faults] may tear the written content —
     atomically renamed into place, modelling power loss after an
     unsynced rename — which a later {!lookup} reports as [Invalid]. *)
 

@@ -1,8 +1,8 @@
 open Pc_adversary
 open Pc_json
 
-(* Crash-safe sweep journal: one fsynced JSON line per completed job,
-   appended to <dir>/<sweep-digest>.journal as the pool finishes jobs.
+(* Crash-safe sweep journal: one fsynced JSON line per resolved job
+   (cache hits included), appended to <dir>/<sweep-digest>.journal.
    A killed sweep resumes by reloading the journal and re-executing
    only the jobs absent from it (and from the result cache).
 

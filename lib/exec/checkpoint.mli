@@ -1,7 +1,7 @@
 (** Crash-safe sweep journal: checkpoint/resume for the engine.
 
-    As the pool finishes jobs, the engine appends one fsynced JSON
-    line per outcome to [<dir>/<sweep-digest>.journal]. A sweep killed
+    As jobs resolve, the engine appends one fsynced JSON line per
+    outcome (cache hits included) to [<dir>/<sweep-digest>.journal]. A sweep killed
     mid-run resumes by reopening the journal with [~resume:true] and
     re-executing only the jobs absent from it (and from the result
     cache): outcomes are pure functions of their specs and round-trip

@@ -1,9 +1,14 @@
 open Pc_adversary
 
-(* The sweep engine: resolve a list of job specs against the
-   checkpoint journal and the result cache, execute the misses on a
-   Domain worker pool with per-job exception capture, retry and
-   per-job timeouts, store fresh outcomes back, and report a summary.
+(* The sweep engine: resolve each job spec against the checkpoint
+   journal and the result cache, execute the misses with per-job
+   exception capture, retry and per-job timeouts, journal and store
+   fresh outcomes back, and report a summary. [resolve] is that
+   pipeline for one spec, and it is the only one: [run] is [resolve]
+   mapped over a sweep (on the [Supervisor] pool when [jobs >= 2]),
+   and the serve daemon calls [resolve] from its supervised workers.
+   Every resolved job — a cache hit included — is journaled, so a
+   resumed sweep never depends on the cache surviving.
 
    Determinism: every job rebuilds its program, manager, heap and
    budget from the spec alone, and all randomness in the workloads is
@@ -28,10 +33,10 @@ let src = Logs.Src.create "pc.exec" ~doc:"parallel sweep engine"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Telemetry: resolution mix (journal/cache/executed), transient-retry
-   pressure, and one "job:<digest-prefix>" span per executed job so
-   `pc report` can rank the hottest points of a sweep. Job spans are
-   interned on the main domain before dispatch; each is then written
-   by exactly one worker. *)
+   pressure, and one "job:<digest-prefix>" span per job of a sweep so
+   `pc report` can rank the hottest points. Job spans are interned on
+   the main domain before dispatch; each is then written by exactly
+   one worker. *)
 module T = Pc_telemetry
 
 let jobs_c = T.Registry.counter "engine.jobs"
@@ -191,14 +196,13 @@ let execute spec = execute_with_retries spec
 
 (* The per-job resolution pipeline — journal, then cache, then an
    execution with retries, with the fresh outcome journaled (fsynced)
-   before it is cached — packaged as a single call so a supervisor
-   that schedules its own queue (the serve daemon) runs exactly the
-   batch engine's code path per job. Journal-first durability order
-   means a worker killed at any point either left no trace (the job
-   re-resolves from scratch) or a complete journal line (the job
-   replays without re-execution): completion is exactly-once. Unlike
-   {!run}, a cache hit is journaled too, so the journal alone answers
-   "is this job complete" across daemon restarts. *)
+   before it is cached. [run] and the serve daemon both call it, so a
+   batch sweep and a daemon run the same code per job. Journal-first
+   durability order means a worker killed at any point either left no
+   trace (the job re-resolves from scratch) or a complete journal line
+   (the job replays without re-execution): completion is exactly-once.
+   A cache hit is journaled too, so the journal alone answers "is this
+   job complete" across kills and daemon restarts. *)
 let resolve ?cache ?checkpoint ?faults ?retries ?timeout ?backoff ?audit
     ?failures_dir ?(on_cache_invalid = fun ~path:_ ~reason:_ -> ()) spec =
   let hit result ~from_cache ~from_journal =
@@ -265,154 +269,56 @@ let resolve ?cache ?checkpoint ?faults ?retries ?timeout ?backoff ?audit
 let run ?(jobs = 1) ?cache ?checkpoint ?retries ?timeout ?backoff ?faults
     ?audit ?failures_dir specs =
   let t0 = Unix.gettimeofday () in
-  let specs = Array.of_list specs in
-  let n = Array.length specs in
-  let results : job_result option array = Array.make n None in
   let recovered = Atomic.make 0 in
-  let retried = Atomic.make 0 in
-  (* 1. Replay journaled outcomes (resume). *)
-  (match checkpoint with
-  | None -> ()
-  | Some journal ->
-      Array.iteri
-        (fun i spec ->
-          match Checkpoint.find journal spec with
-          | Some result ->
-              results.(i) <-
-                Some
-                  {
-                    spec;
-                    result;
-                    from_cache = false;
-                    from_journal = true;
-                    attempts = 0;
-                    elapsed = 0.;
-                    bundle = None;
-                  }
-          | None -> ())
-        specs);
-  (* 2. Serve what we can from the cache (cheap, sequential). An
-     invalid entry — truncated, garbage, stale format, digest
-     collision — is surfaced (counted and logged once), then
-     re-executed and self-healed by the store below. *)
-  (match cache with
-  | None -> ()
-  | Some cache ->
-      Array.iteri
-        (fun i spec ->
-          if results.(i) = None then
-            match Cache.lookup ?faults cache spec with
-            | Cache.Hit outcome ->
-                T.Counter.incr cache_hits_c;
-                results.(i) <-
-                  Some
-                    {
-                      spec;
-                      result = Ok outcome;
-                      from_cache = true;
-                      from_journal = false;
-                      attempts = 0;
-                      elapsed = 0.;
-                      bundle = None;
-                    }
-            | Cache.Miss -> T.Counter.incr cache_miss_c
-            | Cache.Invalid { path; reason } ->
-                Atomic.incr recovered;
-                T.Counter.incr cache_invalid_c;
-                Log.warn (fun k ->
-                    k "cache: invalid entry %s (%s); re-executing" path reason))
-        specs);
-  (* 3. Execute the misses on the pool. Each job journals and caches
-     its own outcome as it completes, so a kill at any point loses at
-     most the in-flight jobs. *)
-  let misses =
-    Array.of_seq
-      (Seq.filter (fun i -> results.(i) = None) (Seq.init n (fun i -> i)))
-  in
-  let journaled =
-    Array.fold_left
-      (fun acc -> function Some r when r.from_journal -> acc + 1 | _ -> acc)
-      0 results
-  in
+  let on_cache_invalid ~path:_ ~reason:_ = Atomic.incr recovered in
   Log.info (fun k ->
-      k "sweep: %d points, %d journaled, %d cached, %d to execute on %d \
-         worker(s)"
-        n journaled
-        (n - Array.length misses - journaled)
-        (Array.length misses) (max 1 jobs));
+      k "sweep: %d points on %d worker(s)" (List.length specs) (max 1 jobs));
   (* Job spans are interned up front, on the main domain, so the
      registry mutex is never contended from the pool and each span has
      a single writer (its worker). Created only when telemetry is on —
-     a large disabled sweep should not populate the registry. *)
-  let job_spans =
+     a large disabled sweep should not populate the registry. A span
+     times the job's whole [resolve], so a hit's span shows its
+     lookup. *)
+  let with_span spec =
     if !T.Sink.active then begin
-      let tbl = Hashtbl.create (Array.length misses) in
-      Array.iter
-        (fun i ->
-          let digest = Spec.digest specs.(i) in
-          let short = String.sub digest 0 (min 12 (String.length digest)) in
-          Hashtbl.replace tbl i (T.Registry.span ("job:" ^ short)))
-        misses;
-      Some tbl
+      let digest = Spec.digest spec in
+      let short = String.sub digest 0 (min 12 (String.length digest)) in
+      (spec, Some (T.Registry.span ("job:" ^ short)))
     end
-    else None
+    else (spec, None)
   in
-  let exec_one i =
+  let resolve_one (spec, span) =
     let work () =
-      execute_with_retries ?faults ?retries ?timeout ?backoff ?audit
-        ?failures_dir specs.(i)
+      resolve ?cache ?checkpoint ?faults ?retries ?timeout ?backoff ?audit
+        ?failures_dir ~on_cache_invalid spec
     in
-    let r =
-      match job_spans with
-      | Some tbl -> T.Span.time (Hashtbl.find tbl i) work
-      | None -> work ()
-    in
-    if r.attempts > 1 then
-      ignore (Atomic.fetch_and_add retried (r.attempts - 1));
-    (* Durability order matters: journal first (fsynced — survives a
-       kill), then cache, then the fault layer's kill point. *)
-    (match checkpoint with
-    | Some journal -> Checkpoint.record journal r.spec r.result
-    | None -> ());
-    (match (cache, r.result) with
-    | Some cache, Ok outcome -> Cache.store ?faults cache r.spec outcome
-    | _ -> ());
-    (match faults with Some f -> Faults.job_completed f | None -> ());
-    r
+    match span with Some s -> T.Span.time s work | None -> work ()
   in
-  let executed = Pool.map_array ~jobs exec_one misses in
-  Array.iteri (fun k i -> results.(i) <- Some executed.(k)) misses;
   let results =
     Array.to_list
-      (Array.map
-         (function
-           | Some r -> r
-           | None -> assert false (* every slot is a hit or a miss *))
-         results)
+      (Supervisor.map_array ~jobs resolve_one
+         (Array.of_list (List.map with_span specs)))
   in
   let count p = List.length (List.filter p results) in
   let bundles = List.filter_map (fun r -> r.bundle) results in
   let summary =
     {
-      total = n;
-      executed = Array.length misses;
+      total = List.length results;
+      executed = count (fun r -> not (r.from_cache || r.from_journal));
       cached = count (fun r -> r.from_cache);
       resumed = count (fun r -> r.from_journal);
       recovered = Atomic.get recovered;
-      retried = Atomic.get retried;
+      retried =
+        List.fold_left (fun acc r -> acc + max 0 (r.attempts - 1)) 0 results;
       failed = count (fun r -> Result.is_error r.result);
       violations = List.length bundles;
       bundles;
       wall = Unix.gettimeofday () -. t0;
     }
   in
-  if !T.Sink.active then begin
-    T.Counter.add jobs_c summary.total;
-    T.Counter.add executed_c summary.executed;
-    T.Counter.add resumed_c summary.resumed;
-    T.Counter.add retries_c summary.retried;
-    T.Counter.add failed_c summary.failed
-  end;
+  T.Counter.add jobs_c summary.total;
+  T.Counter.add retries_c summary.retried;
+  T.Counter.add failed_c summary.failed;
   (results, summary)
 
 let outcome_exn r =

@@ -1,11 +1,13 @@
 (** The fault-tolerant parallel sweep engine.
 
-    [run] resolves each spec against the checkpoint journal (resume)
-    and the result cache, executes the misses on a fixed-size [Domain]
-    worker pool (see {!Pool}) with per-job exception capture, retries
-    and wall-clock timeouts, stores fresh outcomes back into the cache
-    and journal as each job completes, and returns per-job results in
-    input order plus a summary.
+    {!resolve} is the one per-job pipeline: it resolves a spec against
+    the checkpoint journal (resume) and the result cache, executes a
+    miss with exception capture, retries and wall-clock timeouts, and
+    journals the result — a cache hit included — before caching a
+    fresh outcome. [run] is [resolve] mapped over a sweep, on a
+    {!Supervisor} pool when [jobs >= 2], and returns per-job results in
+    input order plus a summary; the serve daemon calls [resolve] from
+    its own supervised workers.
 
     Outcomes are a pure function of the spec — workload randomness is
     seeded, and every job gets a fresh heap, budget and manager — so
@@ -66,9 +68,12 @@ val run :
   ?failures_dir:string ->
   Spec.t list ->
   job_result list * summary
-(** [jobs] (default 1) caps the worker-domain count; [jobs <= 1] runs
-    inline on the calling domain. Omitting [cache] disables caching;
-    omitting [checkpoint] disables journaling. [retries] (default 0)
+(** [resolve] for every spec. [jobs] (default 1) caps the
+    worker-domain count; [jobs <= 1] runs inline on the calling domain.
+    Omitting [cache] disables caching; omitting [checkpoint] disables
+    journaling. Every job is journaled, a cache hit too, so a resumed
+    sweep replays it even if the cache is gone; a spec listed twice is
+    answered the second time by the journal line the first wrote. [retries] (default 0)
     bounds transient-failure re-attempts per job; [timeout] is the
     per-attempt wall-clock budget in seconds (checked post-hoc — a
     pure simulation cannot be preempted); [backoff] (default 0.1)
@@ -102,7 +107,7 @@ val execute_with_retries :
   ?failures_dir:string ->
   Spec.t ->
   job_result
-(** The per-job attempt loop [run] uses, exposed for tests. *)
+(** The per-job attempt loop {!resolve} uses, exposed for tests. *)
 
 val resolve :
   ?cache:Cache.t ->
@@ -118,14 +123,14 @@ val resolve :
   job_result
 (** Resolve one spec end to end — journal, then cache, then
     {!execute_with_retries} — journaling (fsync) a fresh outcome
-    {e before} caching it. This is [run]'s per-job pipeline packaged
-    for callers that schedule their own queue (the serve daemon's
-    supervised workers): a worker killed at any point either left no
-    trace or a complete journal line, so replays never re-execute and
-    completion is exactly-once. Unlike [run], a cache hit is journaled
-    too, making the journal alone authoritative for "is this job
-    complete" across daemon restarts. [on_cache_invalid] observes
-    detected cache rot (for the daemon's [recovered] accounting). *)
+    {e before} caching it. [run] calls it once per spec, and callers
+    that schedule their own queue (the serve daemon's supervised
+    workers) call it directly: a worker killed at any point either left
+    no trace or a complete journal line, so replays never re-execute
+    and completion is exactly-once. A cache hit is journaled too,
+    making the journal alone authoritative for "is this job complete"
+    across kills and daemon restarts. [on_cache_invalid] observes
+    detected cache rot ([run] counts it in {!summary.recovered}). *)
 
 val outcome_exn : job_result -> Pc_adversary.Runner.outcome
 (** Raises [Failure] with the captured error text on a failed job. *)

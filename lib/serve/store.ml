@@ -89,13 +89,8 @@ let manifest_of_json j =
 let save ~state_dir m =
   let dir = submissions_dir ~state_dir m.tenant in
   Pc_audit.Report.mkdir_p dir;
-  let path = manifest_path ~state_dir m in
-  let tmp = path ^ ".tmp" in
-  let content = Json.to_string ~indent:true (manifest_to_json m) ^ "\n" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc content;
-      Out_channel.flush oc);
-  Sys.rename tmp path
+  Pc_audit.Report.write_file_atomic (manifest_path ~state_dir m)
+    (Json.to_string ~indent:true (manifest_to_json m) ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 
@@ -134,7 +129,7 @@ let load_all ~state_dir =
                      None
                  | exception e ->
                      (* A torn manifest (daemon killed mid-save before
-                        the rename can only leave a .tmp, but a partial
+                        the rename can only leave a temp file, but a partial
                         byte-level copy can exist after fs damage):
                         skipping it loses only an un-acked submission. *)
                      Log.warn (fun k ->

@@ -38,8 +38,9 @@ val cache_dir : state_dir:string -> string -> string
 val journal_dir : state_dir:string -> string -> string
 
 val save : state_dir:string -> manifest -> unit
-(** Atomic write; fsync-free (the ack path's durability bar is the
-    rename — a torn [.tmp] is ignored by {!load_all}). *)
+(** Atomic write through {!Pc_audit.Report.write_file_atomic};
+    fsync-free (the ack path's durability bar is the rename — a temp
+    file left by a killed daemon is ignored by {!load_all}). *)
 
 val load_all : state_dir:string -> manifest list
 (** Every readable manifest under every tenant, sorted (tenant, id).

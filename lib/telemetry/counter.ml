@@ -1,8 +1,9 @@
-(* Monotonic counters. Single-writer per domain in practice: the hot
-   instruments live in domain-local simulation state, and the engine's
-   cross-domain aggregates are folded into counters on the main domain
-   after the pool drains — so plain mutable ints suffice, and the
-   disabled path is one load and an untaken branch. *)
+(* Monotonic counters: plain mutable ints, so the disabled path is one
+   load and an untaken branch. The engine folds its per-sweep totals
+   (jobs, retries, failures) in on the main domain after the pool
+   drains; an instrument bumped from several worker domains at once
+   (the kernel's, the engine's per-job resolution mix) can lose an
+   increment, so its count under a parallel sweep is approximate. *)
 
 type t = { name : string; mutable value : int }
 

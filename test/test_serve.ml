@@ -1,9 +1,11 @@
 (* The serve daemon: wire framing and protocol codecs must be total
    against arbitrary peers, the lockfile must fail fast on a live
    foreign holder and break stale ones, the supervision tree must
-   restart killed workers without losing or duplicating a job, and a
-   daemon killed at an arbitrary point must come back serving
-   byte-identical results with every job completed exactly once. *)
+   restart killed workers without losing or duplicating a job (and,
+   as the batch engine's map, keep order and re-raise the first task
+   failure), and a daemon killed at an arbitrary point must come back
+   serving byte-identical results with every job completed exactly
+   once. *)
 
 open Pc_exec
 open Pc_serve
@@ -329,6 +331,33 @@ let test_lockfile_live_and_dead () =
 
 (* ------------------------------------------------------------------ *)
 (* Supervision tree                                                   *)
+
+let test_map_array_order () =
+  let items = Array.init 100 (fun i -> i) in
+  let doubled = Supervisor.map_array ~jobs:4 (fun i -> 2 * i) items in
+  Alcotest.(check (array int))
+    "order preserved under parallel map"
+    (Array.map (fun i -> 2 * i) items)
+    doubled
+
+(* Task 2 raises late and task 7 early; the earlier one in submission
+   order is re-raised, and only once every other task has landed. *)
+let test_map_array_first_failure () =
+  let landed = Atomic.make 0 in
+  let task i =
+    if i = 2 then begin
+      Unix.sleepf 0.02;
+      failwith "task 2"
+    end
+    else if i = 7 then failwith "task 7"
+    else Atomic.incr landed
+  in
+  match Supervisor.map_array ~jobs:3 task (Array.init 10 Fun.id) with
+  | _ -> Alcotest.fail "a raising task must make map_array raise"
+  | exception Failure msg ->
+      Alcotest.(check string) "earlier task's exception" "task 2" msg;
+      Alcotest.(check int) "every other task landed first" 8
+        (Atomic.get landed)
 
 let test_supervisor_runs_jobs () =
   let m = Mutex.create () in
@@ -821,6 +850,10 @@ let () =
             test_supervisor_restarts_dead_worker;
           Alcotest.test_case "fatal exceptions abort" `Quick
             test_supervisor_fatal_aborts;
+          Alcotest.test_case "map_array preserves order" `Quick
+            test_map_array_order;
+          Alcotest.test_case "map_array re-raises first failure" `Quick
+            test_map_array_first_failure;
         ] );
       ( "daemon",
         [

@@ -151,13 +151,37 @@ let test_cache_invalid_entry_taxonomy () =
       Alcotest.(check int) (name ^ ": nothing left to recover") 0 s2.recovered)
     fixtures
 
-let test_pool_map_order () =
-  let items = Array.init 100 (fun i -> i) in
-  let doubled = Pool.map_array ~jobs:4 (fun i -> 2 * i) items in
-  Alcotest.(check (array int))
-    "order preserved under parallel map"
-    (Array.map (fun i -> 2 * i) items)
-    doubled
+(* Two workers storing the same spec at once: each store writes its
+   own temp file, so neither rename can find its temp file gone. *)
+let test_concurrent_stores_of_one_spec () =
+  let spec = Spec.robson ~manager:"first-fit" ~m:256 ~n:16 () in
+  let expected = Engine.outcome_exn (Engine.execute spec) in
+  for _ = 1 to 50 do
+    let cache = Cache.create ~dir:(fresh_dir ()) () in
+    let results, _ = Engine.run ~jobs:2 ~cache [ spec; spec ] in
+    Alcotest.(check (list outcome))
+      "both outcomes match a bare execution" [ expected; expected ]
+      (outcomes results)
+  done
+
+(* A hit is journaled like an execution, so a resumed sweep finds it
+   in the journal even if the cache is gone. *)
+let test_cache_hit_is_journaled () =
+  let spec = Spec.robson ~manager:"first-fit" ~m:256 ~n:16 () in
+  let dir = fresh_dir () in
+  let cache = Cache.create ~dir () in
+  let r0, _ = Engine.run ~cache [ spec ] in
+  let jdir = Checkpoint.default_dir ~cache_dir:dir in
+  let cp = Checkpoint.open_ ~dir:jdir [ spec ] in
+  let _, s = Engine.run ~cache ~checkpoint:cp [ spec ] in
+  Checkpoint.close cp;
+  Alcotest.(check int) "served from the cache" 1 s.cached;
+  let cp = Checkpoint.open_ ~resume:true ~dir:jdir [ spec ] in
+  let journaled = Checkpoint.find cp spec in
+  Checkpoint.close cp;
+  Alcotest.(check bool)
+    "the hit's outcome is in the journal" true
+    (journaled = Some (List.hd r0).result)
 
 let () =
   Alcotest.run "sweep engine"
@@ -166,7 +190,6 @@ let () =
         [
           Alcotest.test_case "parallel = sequential" `Quick
             test_parallel_matches_sequential;
-          Alcotest.test_case "pool preserves order" `Quick test_pool_map_order;
         ] );
       ( "cache",
         [
@@ -175,6 +198,10 @@ let () =
             test_cache_ignores_corrupt_entries;
           Alcotest.test_case "invalid-entry taxonomy heals" `Quick
             test_cache_invalid_entry_taxonomy;
+          Alcotest.test_case "concurrent stores of one spec" `Quick
+            test_concurrent_stores_of_one_spec;
+          Alcotest.test_case "a batch run journals its hits" `Quick
+            test_cache_hit_is_journaled;
         ] );
       ( "robustness",
         [
