@@ -32,7 +32,6 @@ type sweep_opts = {
   cache_dir : string option;
   resume : bool;
   retries : int;
-  timeout : float option;
   faults : Pc.Exec.Faults.t option;
   audit : Pc.Audit.Oracle.level;
   failures_dir : string option;
@@ -64,8 +63,7 @@ let run_sweep ?(on_journal = ignore) o specs =
       Option.iter Lockfile.release lock)
     (fun () ->
       Engine.run ~jobs:o.jobs ?cache ?checkpoint ~retries:o.retries
-        ?timeout:o.timeout ?faults:o.faults ~audit:o.audit
-        ?failures_dir:o.failures_dir specs)
+        ?faults:o.faults ~audit:o.audit ?failures_dir:o.failures_dir specs)
 
 (* A summary as JSON fields. No wall-clock field: the JSON forms are
    diffable across runs. *)
@@ -125,9 +123,17 @@ type t = {
 
 let line t fmt = Fmt.pf t.out (fmt ^^ "@.")
 
-(* Runs one table's grid and returns a lookup from spec to its
-   result. *)
+(* Runs one table's grid, each point once (first occurrences, in
+   order), and returns a lookup from spec to its result. *)
 let sweep t name specs =
+  let seen = Hashtbl.create (2 * List.length specs) in
+  let specs =
+    List.filter
+      (fun spec ->
+        let key = Spec.key spec in
+        (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+      specs
+  in
   let results, summary = run_sweep t.sweep specs in
   line t "    [%s: %a]" name Engine.pp_summary summary;
   t.summaries <- (name, summary) :: t.summaries;

@@ -192,21 +192,10 @@ let retries_arg =
     & opt (restrict int ~what:"a non-negative count" (fun r -> r >= 0)) 2
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Retry a job up to $(docv) times after a transient failure \
-           (worker crash, timeout), with exponential backoff and seeded \
-           jitter. Deterministic failures are never retried past one \
-           reproduction probe.")
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt
-        (some (restrict float ~what:"a positive duration" (fun t -> t > 0.)))
-        None
-    & info [ "timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Per-attempt wall-clock budget; an attempt exceeding it counts \
-           as a transient failure and is retried.")
+          "Retry a job up to $(docv) times after a transient failure (an \
+           injected worker crash, the only kind), with exponential backoff \
+           and seeded jitter. Deterministic failures are never retried \
+           past one reproduction probe.")
 
 let inject_faults_arg =
   let faults_conv =
@@ -228,15 +217,13 @@ let inject_faults_arg =
            after 20 jobs (a restart recovers).")
 
 let sweep_opts_arg =
-  let make jobs no_cache cache_dir resume retries timeout faults audit
-      failures_dir =
+  let make jobs no_cache cache_dir resume retries faults audit failures_dir =
     {
       Experiment.jobs;
       no_cache;
       cache_dir;
       resume;
       retries;
-      timeout;
       faults;
       audit;
       failures_dir;
@@ -244,8 +231,7 @@ let sweep_opts_arg =
   in
   Term.(
     const make $ jobs_arg $ no_cache_arg $ cache_dir_arg $ resume_arg
-    $ retries_arg $ timeout_arg $ inject_faults_arg $ audit_arg
-    $ failures_dir_arg)
+    $ retries_arg $ inject_faults_arg $ audit_arg $ failures_dir_arg)
 
 (* Runs [f] at the requested telemetry level, then lands the snapshot:
    to [out] as schema-tagged JSON, or rendered on stderr, so stdout
@@ -848,7 +834,7 @@ let serve_cmd =
       $ tenant_cap_arg $ inject_faults_arg $ telemetry_arg $ telemetry_out_arg)
 
 let submit_cmd =
-  let run socket tenant manager m n cs retries timeout local json =
+  let run socket tenant manager m n cs retries local json =
     let module Spec = Pc.Exec.Spec in
     let specs = List.map (fun c -> Spec.pf ~c ~manager ~m ~n ()) cs in
     let with_server k =
@@ -878,7 +864,7 @@ let submit_cmd =
     in
     with_server @@ fun socket ->
     let r =
-      Pc.Serve.Client.submit_and_wait ~socket ~tenant ~retries ?timeout specs
+      Pc.Serve.Client.submit_and_wait ~socket ~tenant ~retries specs
     in
     let id, total, known = (r.Pc.Serve.Client.id, r.total, r.known) in
     let state, progress = (r.state, r.progress) in
@@ -951,7 +937,7 @@ let submit_cmd =
       $ m_arg (1 lsl 12)
       $ n_arg (1 lsl 6)
       $ cs_arg [ 8.0; 16.0 ]
-      $ retries_arg $ timeout_arg $ local_arg $ json_arg)
+      $ retries_arg $ local_arg $ json_arg)
 
 let health_cmd =
   let run socket json =

@@ -28,8 +28,6 @@
 
 type level = Off | Sampled | Full | Differential
 
-val level_to_string : level -> string
-
 val level_of_string : string -> (level, [ `Msg of string ]) result
 (** Accepts "off", "sampled", "full", "differential"/"diff". *)
 

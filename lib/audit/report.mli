@@ -78,9 +78,6 @@ val replay : string -> (Oracle.violation option, string) result
     trips (stale bundle or fixed bug); [Error] — unreadable bundle, or
     one in an older meta format. *)
 
-val replay_command : bundle -> string
-(** The [pc replay <dir>] invocation recorded in [meta.txt]. *)
-
 val pp_bundle : Format.formatter -> bundle -> unit
 
 (** {1 Exit-code taxonomy}

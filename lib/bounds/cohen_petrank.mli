@@ -15,9 +15,6 @@ val s1_factor : ell:int -> float
 val ell_limit : c:float -> int
 (** Largest [ℓ] allowed by the side condition [2{^ℓ} ≤ 3c/4]. *)
 
-val stage2_steps : n:int -> ell:int -> int
-(** [log2 n − 2ℓ − 1], the number of stage-2 steps. *)
-
 val h : m:int -> n:int -> c:float -> ell:int -> float option
 (** The waste factor [h(ℓ)]; [None] when [ℓ] violates the side
     conditions ([ℓ ≥ 1], [2{^ℓ} ≤ 3c/4], at least one stage-2 step). *)

@@ -12,9 +12,6 @@
 
 type t
 
-val env_var : string
-(** ["PC_CACHE_DIR"] — overrides the default directory. *)
-
 val default_dir : unit -> string
 (** [$PC_CACHE_DIR] if set, else ["_pc_cache"] under the current
     working directory. *)

@@ -2,8 +2,8 @@ open Pc_adversary
 
 (* The sweep engine: resolve each job spec against the checkpoint
    journal and the result cache, execute the misses with per-job
-   exception capture, retry and per-job timeouts, journal and store
-   fresh outcomes back, and report a summary. [resolve] is that
+   exception capture and retries, journal and store fresh outcomes
+   back, and report a summary. [resolve] is that
    pipeline for one spec, and it is the only one: [run] is [resolve]
    mapped over a sweep (on the [Supervisor] pool when [jobs >= 2]),
    and the serve daemon calls [resolve] from its supervised workers.
@@ -18,9 +18,10 @@ open Pc_adversary
    resumed from its journal is bit-identical to an uninterrupted one.
 
    Failure taxonomy (see DESIGN.md):
-   - transient: an injected worker crash ([Faults.Worker_crash]) or a
-     wall-clock timeout. Retried with exponential backoff and seeded
-     deterministic jitter, up to [retries] times.
+   - transient: an injected worker crash ([Faults.Worker_crash]) and
+     nothing else. Retried up to [retries] times, sleeping
+     [Faults.backoff] between attempts. An injected delay is a stall,
+     not a failure: the attempt's outcome counts.
    - deterministic: any other exception that the job reproduces on an
      immediate probe re-run. Degrades to [Error] without burning the
      transient-retry budget — a poisoned spec never stalls the pool.
@@ -103,16 +104,8 @@ let run_once ?faults ?audit ?failures_dir spec ~digest ~attempt =
       raise e
   | exception e -> Error e
 
-(* Exponential backoff with seeded deterministic jitter: the sleep for
-   retry [k] of a job is a pure function of (seed, digest, k). *)
-let backoff_sleep ~seed ~digest ~backoff k =
-  if backoff > 0. then begin
-    let jitter = Faults.hash01 ~seed ~site:"backoff" ~digest k in
-    Unix.sleepf (backoff *. (2. ** float_of_int k) *. (1. +. jitter))
-  end
-
-let execute_with_retries ?faults ?(retries = 0) ?timeout ?(backoff = 0.1)
-    ?audit ?failures_dir spec =
+let execute_with_retries ?faults ?(retries = 0) ?(backoff = 0.1) ?audit
+    ?failures_dir spec =
   let digest = Spec.digest spec in
   let seed = match faults with Some f -> Faults.seed f | None -> 0 in
   let t0 = Unix.gettimeofday () in
@@ -121,37 +114,27 @@ let execute_with_retries ?faults ?(retries = 0) ?timeout ?(backoff = 0.1)
      transient failures burned so far (capped by [retries]);
      [probed] is set once a generic exception has been re-run. *)
   let rec go ~attempt ~transients ~probed =
-    let a0 = Unix.gettimeofday () in
-    let result = run_once ?faults ?audit ?failures_dir spec ~digest ~attempt in
-    let attempt_elapsed = Unix.gettimeofday () -. a0 in
-    let timed_out =
-      match timeout with Some limit -> attempt_elapsed > limit | None -> false
-    in
-    let retry_transient reason =
-      T.Counter.incr transients_c;
-      if transients < retries then begin
-        Log.info (fun k ->
-            k "job %s: transient failure (%s) on attempt %d; retrying" digest
-              reason attempt);
-        backoff_sleep ~seed ~digest ~backoff transients;
-        go ~attempt:(attempt + 1) ~transients:(transients + 1) ~probed
-      end
-      else
-        ( Error
-            (Printf.sprintf "unrecovered transient failure (%s) after %d attempts"
-               reason (attempt + 1)),
-          attempt + 1 )
-    in
-    match result with
-    | Ok _ when timed_out ->
-        (* The attempt finished but blew its wall-clock budget: treat
-           the outcome as lost (a real supervisor would have killed
-           the worker) and retry. Timeouts are detected post-hoc — a
-           pure simulation cannot be preempted mid-computation. *)
-        retry_transient (Printf.sprintf "timeout: %.3fs > %.3fs" attempt_elapsed
-                           (Option.get timeout))
+    match run_once ?faults ?audit ?failures_dir spec ~digest ~attempt with
     | Ok outcome -> (Ok outcome, attempt + 1)
-    | Error (Faults.Worker_crash _) -> retry_transient "worker crash"
+    | Error (Faults.Worker_crash _) ->
+        T.Counter.incr transients_c;
+        if transients < retries then begin
+          Log.info (fun k ->
+              k "job %s: transient failure (worker crash) on attempt %d; \
+                 retrying"
+                digest attempt);
+          Unix.sleepf
+            (Faults.backoff ~seed ~site:"backoff" ~digest ~base:backoff
+               transients);
+          go ~attempt:(attempt + 1) ~transients:(transients + 1) ~probed
+        end
+        else
+          ( Error
+              (Printf.sprintf
+                 "unrecovered transient failure (worker crash) after %d \
+                  attempts"
+                 (attempt + 1)),
+            attempt + 1 )
     | Error (Pc_audit.Report.Reported b) ->
         (* An oracle violation is deterministic by construction (the
            bundle's replay already reproduced it during triage): no
@@ -163,11 +146,7 @@ let execute_with_retries ?faults ?(retries = 0) ?timeout ?(backoff = 0.1)
                b.Pc_audit.Report.dir),
           attempt + 1 )
     | Error e ->
-        if timed_out then
-          retry_transient
-            (Printf.sprintf "timeout: %.3fs > %.3fs" attempt_elapsed
-               (Option.get timeout))
-        else if not probed then begin
+        if not probed then begin
           (* First sighting of a generic exception: probe once,
              immediately. If the job reproduces it, it is
              deterministic; if not, it was environmental. *)
@@ -203,8 +182,8 @@ let execute spec = execute_with_retries spec
    (the job replays without re-execution): completion is exactly-once.
    A cache hit is journaled too, so the journal alone answers "is this
    job complete" across kills and daemon restarts. *)
-let resolve ?cache ?checkpoint ?faults ?retries ?timeout ?backoff ?audit
-    ?failures_dir ?(on_cache_invalid = fun ~path:_ ~reason:_ -> ()) spec =
+let resolve ?cache ?checkpoint ?faults ?retries ?backoff ?audit ?failures_dir
+    ?(on_cache_invalid = fun ~path:_ ~reason:_ -> ()) spec =
   let hit result ~from_cache ~from_journal =
     {
       spec;
@@ -247,8 +226,8 @@ let resolve ?cache ?checkpoint ?faults ?retries ?timeout ?backoff ?audit
           hit (Ok outcome) ~from_cache:true ~from_journal:false
       | None ->
           let r =
-            execute_with_retries ?faults ?retries ?timeout ?backoff ?audit
-              ?failures_dir spec
+            execute_with_retries ?faults ?retries ?backoff ?audit ?failures_dir
+              spec
           in
           (* Durability order matters: journal first (fsynced —
              survives a kill), then cache, then the fault layer's kill
@@ -266,8 +245,8 @@ let resolve ?cache ?checkpoint ?faults ?retries ?timeout ?backoff ?audit
 (* ------------------------------------------------------------------ *)
 (* The sweep                                                          *)
 
-let run ?(jobs = 1) ?cache ?checkpoint ?retries ?timeout ?backoff ?faults
-    ?audit ?failures_dir specs =
+let run ?(jobs = 1) ?cache ?checkpoint ?retries ?backoff ?faults ?audit
+    ?failures_dir specs =
   let t0 = Unix.gettimeofday () in
   let recovered = Atomic.make 0 in
   let on_cache_invalid ~path:_ ~reason:_ = Atomic.incr recovered in
@@ -289,7 +268,7 @@ let run ?(jobs = 1) ?cache ?checkpoint ?retries ?timeout ?backoff ?faults
   in
   let resolve_one (spec, span) =
     let work () =
-      resolve ?cache ?checkpoint ?faults ?retries ?timeout ?backoff ?audit
+      resolve ?cache ?checkpoint ?faults ?retries ?backoff ?audit
         ?failures_dir ~on_cache_invalid spec
     in
     match span with Some s -> T.Span.time s work | None -> work ()

@@ -2,9 +2,8 @@
 
     {!resolve} is the one per-job pipeline: it resolves a spec against
     the checkpoint journal (resume) and the result cache, executes a
-    miss with exception capture, retries and wall-clock timeouts, and
-    journals the result — a cache hit included — before caching a
-    fresh outcome. [run] is [resolve] mapped over a sweep, on a
+    miss with exception capture and retries, and journals the result —
+    a cache hit included — before caching a fresh outcome. [run] is [resolve] mapped over a sweep, on a
     {!Supervisor} pool when [jobs >= 2], and returns per-job results in
     input order plus a summary; the serve daemon calls [resolve] from
     its own supervised workers.
@@ -16,9 +15,10 @@
     to an uninterrupted one.
 
     Failure taxonomy (DESIGN.md §failure-taxonomy):
-    - {e transient} — an injected worker crash or a wall-clock
-      timeout: retried up to [retries] times with exponential backoff
-      and seeded deterministic jitter.
+    - {e transient} — an injected worker crash ({!Faults.Worker_crash})
+      and nothing else: retried up to [retries] times, sleeping
+      {!Faults.backoff} between attempts. An injected delay is a
+      stall, not a failure: the attempt's outcome counts.
     - {e deterministic} — any other exception the job reproduces on an
       immediate probe re-run: degrades to [Error] without burning the
       transient budget, so a poisoned spec never stalls the pool.
@@ -61,7 +61,6 @@ val run :
   ?cache:Cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?retries:int ->
-  ?timeout:float ->
   ?backoff:float ->
   ?faults:Faults.t ->
   ?audit:Pc_audit.Oracle.level ->
@@ -74,10 +73,8 @@ val run :
     journaling. Every job is journaled, a cache hit too, so a resumed
     sweep replays it even if the cache is gone; a spec listed twice is
     answered the second time by the journal line the first wrote. [retries] (default 0)
-    bounds transient-failure re-attempts per job; [timeout] is the
-    per-attempt wall-clock budget in seconds (checked post-hoc — a
-    pure simulation cannot be preempted); [backoff] (default 0.1)
-    seeds the exponential backoff base in seconds. [faults] injects
+    bounds transient-failure re-attempts per job; [backoff] (default
+    0.1) is the [base] of {!Faults.backoff} in seconds. [faults] injects
     seeded chaos at job and cache boundaries (see {!Faults}). Results
     come back in input order.
 
@@ -101,7 +98,6 @@ val execute : Spec.t -> job_result
 val execute_with_retries :
   ?faults:Faults.t ->
   ?retries:int ->
-  ?timeout:float ->
   ?backoff:float ->
   ?audit:Pc_audit.Oracle.level ->
   ?failures_dir:string ->
@@ -114,7 +110,6 @@ val resolve :
   ?checkpoint:Checkpoint.t ->
   ?faults:Faults.t ->
   ?retries:int ->
-  ?timeout:float ->
   ?backoff:float ->
   ?audit:Pc_audit.Oracle.level ->
   ?failures_dir:string ->

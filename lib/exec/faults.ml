@@ -58,7 +58,6 @@ let make ?(seed = 0) ?(crash = 0.) ?(delay = 0.) ?(delay_s = 0.01)
   }
 
 let seed t = t.seed
-let max_transient t = t.max_transient
 
 (* ------------------------------------------------------------------ *)
 (* The deterministic coin                                             *)
@@ -74,6 +73,13 @@ let hash01 ~seed ~site ~digest index =
     v := (!v lsl 8) lor Char.code d.[i]
   done;
   float_of_int !v /. 281474976710656.0 (* 2^48 *)
+
+(* Exponential in the retry index with a ceiling on the exponent and on
+   the sleep, jittered by the seeded coin so retries that failed
+   together do not re-converge on the same instant. *)
+let backoff ~seed ~site ~digest ~base k =
+  let j = hash01 ~seed ~site ~digest k in
+  Float.min 5.0 (base *. (2. ** float_of_int (min k 6)) *. (0.5 +. j))
 
 let draw t ~site ~digest index = hash01 ~seed:t.seed ~site ~digest index
 

@@ -7,9 +7,10 @@
     the test suite and the chaos mode ([pc sweep --inject-faults]), so
     injection exercises exactly the production code paths.
 
-    Crashes and delays are {e transient by construction}: attempts at
-    or beyond [max_transient] are left alone, so an engine retry
-    budget [>= max_transient] always recovers them. Cache faults are
+    Crashes are {e transient by construction}: attempts at or beyond
+    [max_transient] are left alone, so an engine retry budget
+    [>= max_transient] always recovers them. A delay is a stall, never
+    a failure: the attempt goes on and its outcome counts. Cache faults are
     indexed by a per-site operation counter, so a torn store is not
     torn forever and the self-heal path converges. *)
 
@@ -59,14 +60,18 @@ val of_string : string -> (t, string) result
 val to_string : t -> string
 
 val seed : t -> int
-val max_transient : t -> int
-(** Retry budgets [>= max_transient] are guaranteed to recover every
-    injected crash/delay. *)
 
 val hash01 : seed:int -> site:string -> digest:string -> int -> float
 (** The deterministic coin in [\[0, 1)]: a pure function of its
-    arguments, identical on every machine. Exposed so the engine can
-    derive seeded backoff jitter from the same source. *)
+    arguments, identical on every machine. *)
+
+val backoff :
+  seed:int -> site:string -> digest:string -> base:float -> int -> float
+(** [backoff ~seed ~site ~digest ~base k] is the sleep in seconds before
+    retry [k]: [min 5 (base * 2^min(k,6) * (0.5 + j))] with [j] the
+    coin [hash01 ~seed ~site ~digest k]. A pure function of its
+    arguments; the one backoff every retry loop (engine and client)
+    uses. Callers sleep it themselves. *)
 
 val pre_job : t -> digest:string -> attempt:int -> unit
 (** Consulted before each execution attempt: may sleep [delay_s]

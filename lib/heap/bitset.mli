@@ -34,5 +34,4 @@ val rev_iter_while : t -> from:int -> (int -> bool) -> unit
 
 val is_empty : t -> bool
 val iter : t -> (int -> unit) -> unit
-val iter_from : t -> int -> (int -> unit) -> unit
 (** Ascending order. *)

@@ -45,7 +45,6 @@ val to_string : t -> string
 val of_string : string -> t
 (** Raises [Failure] on malformed input. *)
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit
 
 type stats = {

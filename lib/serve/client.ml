@@ -4,11 +4,10 @@ open Pc_exec
    socket, plus the submit-with-backoff / wait / results conveniences
    the CLI and the saturation benchmark are built from.
 
-   Backoff is exponential with deterministic jitter drawn from the
-   same seeded coin as the engine's retry backoff ([Faults.hash01]),
-   so a saturation run — many clients hammering one daemon — is
-   reproducible end to end: the k-th retry of the k-th client sleeps
-   the same everywhere. *)
+   Backoff is the engine's [Faults.backoff], with the server's hint as
+   a floor on its base, so a saturation run — many clients hammering
+   one daemon — is reproducible end to end: the k-th retry of the k-th
+   client sleeps the same everywhere. *)
 
 exception Protocol_error of string
 
@@ -47,18 +46,8 @@ let rpc conn request =
 
 (* ------------------------------------------------------------------ *)
 
-let backoff_sleep ~seed ~site ~attempt ~hint =
-  (* The server's hint is a floor; exponential growth with seeded
-     jitter spreads retries out so backed-off clients do not
-     re-converge on the same instant. *)
-  let base = Float.max hint 0.02 in
-  let expo = base *. (2. ** float_of_int (min attempt 6)) in
-  let jitter = Faults.hash01 ~seed ~site ~digest:"backoff" attempt in
-  Unix.sleepf (Float.min (expo *. (0.5 +. jitter)) 5.0)
-
-let submit ?(seed = 0) ?(max_attempts = 50) conn ~tenant ?(retries = 0)
-    ?timeout specs =
-  let request = Protocol.Submit { tenant; specs; retries; timeout } in
+let submit ?(seed = 0) ?(max_attempts = 50) conn ~tenant ?(retries = 0) specs =
+  let request = Protocol.Submit { tenant; specs; retries } in
   let rec go attempt =
     if attempt >= max_attempts then
       raise
@@ -69,8 +58,9 @@ let submit ?(seed = 0) ?(max_attempts = 50) conn ~tenant ?(retries = 0)
       match rpc conn request with
       | Protocol.Accepted { id; total; known } -> (id, total, known, attempt)
       | Protocol.Retry_after { seconds; reason = _ } ->
-          backoff_sleep ~seed ~site:(tenant ^ ".submit") ~attempt
-            ~hint:seconds;
+          Unix.sleepf
+            (Faults.backoff ~seed ~site:(tenant ^ ".submit") ~digest:"backoff"
+               ~base:(Float.max seconds 0.02) attempt);
           go (attempt + 1)
       | Protocol.Refused { code; message } ->
           raise (Protocol_error (Printf.sprintf "%s: %s" code message))
@@ -141,12 +131,12 @@ type run = {
    before the crash finish after it). That one property makes clients
    of a crashing daemon trivial: this is the whole recovery logic. *)
 let submit_and_wait ?(seed = 0) ?max_attempts ?poll ?(reconnect_rounds = 40)
-    ~socket ~tenant ?(retries = 0) ?timeout specs =
+    ~socket ~tenant ?(retries = 0) specs =
   let rec go round rounds_acc =
     match
       with_conn socket (fun conn ->
           let id, total, known, backoff_rounds =
-            submit ~seed ?max_attempts conn ~tenant ~retries ?timeout specs
+            submit ~seed ?max_attempts conn ~tenant ~retries specs
           in
           let state, progress = wait ?poll conn ~tenant ~id in
           let outcomes = results conn ~tenant ~id in
@@ -164,8 +154,9 @@ let submit_and_wait ?(seed = 0) ?max_attempts ?poll ?(reconnect_rounds = 40)
     | run -> run
     | exception (Wire.Closed | Unix.Unix_error _)
       when round < reconnect_rounds ->
-        backoff_sleep ~seed ~site:(tenant ^ ".reconnect") ~attempt:round
-          ~hint:0.05;
+        Unix.sleepf
+          (Faults.backoff ~seed ~site:(tenant ^ ".reconnect") ~digest:"backoff"
+             ~base:0.05 round);
         go (round + 1) rounds_acc
   in
   go 0 0

@@ -23,12 +23,11 @@ val submit :
   conn ->
   tenant:string ->
   ?retries:int ->
-  ?timeout:float ->
   Pc_exec.Spec.t list ->
   string * int * bool * int
-(** Submit with exponential backoff on [Retry_after] — jitter drawn
-    from the same seeded coin as the engine's retry backoff
-    ({!Pc_exec.Faults.hash01}), so saturation runs reproduce. Returns
+(** Submit, sleeping {!Pc_exec.Faults.backoff} (the engine's seeded
+    backoff, its base floored by the server's hint) after each
+    [Retry_after], so saturation runs reproduce. Returns
     [(id, total, known, backoff_rounds)]. Raises {!Protocol_error}
     on [Refused] or after [max_attempts] (default 50) rounds. *)
 
@@ -68,7 +67,6 @@ val submit_and_wait :
   socket:string ->
   tenant:string ->
   ?retries:int ->
-  ?timeout:float ->
   Pc_exec.Spec.t list ->
   run
 (** Submit, wait and fetch results; when the daemon dies mid-exchange,

@@ -19,7 +19,6 @@ type submit = {
   tenant : string;
   specs : Spec.t list;
   retries : int;
-  timeout : float option;
 }
 
 type request =
@@ -66,14 +65,13 @@ type response =
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                           *)
 
-let j_submit { tenant; specs; retries; timeout } =
+let j_submit { tenant; specs; retries } =
   [
     ("op", Json.String "submit");
     ("tenant", Json.String tenant);
     ("specs", Json.List (List.map Spec.to_json specs));
     ("retries", Json.Int retries);
   ]
-  @ match timeout with None -> [] | Some s -> [ ("timeout", Json.Float s) ]
 
 let j_ref op tenant id =
   [
@@ -228,11 +226,8 @@ let request_of_string s =
       let* tenant = str "tenant" j in
       let* specs = specs_of j in
       let* retries = int_or "retries" ~default:0 j in
-      let timeout =
-        Option.bind (Json.member "timeout" j) Json.to_float
-      in
       if specs = [] then Error "empty spec list"
-      else Ok (Submit { tenant; specs; retries; timeout })
+      else Ok (Submit { tenant; specs; retries })
   | "status" -> ref_of j op (fun ~tenant ~id -> Status { tenant; id })
   | "cancel" -> ref_of j op (fun ~tenant ~id -> Cancel { tenant; id })
   | "results" -> ref_of j op (fun ~tenant ~id -> Results { tenant; id })

@@ -16,7 +16,6 @@ type submit = {
   tenant : string;
   specs : Pc_exec.Spec.t list;
   retries : int;  (** transient-failure retry budget per job *)
-  timeout : float option;  (** per-attempt wall-clock budget, seconds *)
 }
 
 type request =

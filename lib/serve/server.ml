@@ -41,13 +41,12 @@ type config = {
   workers : int;
   queue_cap : int;  (* max admitted-but-unfinished jobs, all tenants *)
   tenant_cap : int;  (* max admitted-but-unfinished jobs per tenant *)
-  backoff : float;  (* engine retry backoff base, seconds *)
   faults : Faults.t option;  (* chaos injection, shared by all workers *)
 }
 
-let config ?(workers = 4) ?(queue_cap = 256) ?(tenant_cap = 128)
-    ?(backoff = 0.05) ?faults ~socket ~state_dir () =
-  { socket; state_dir; workers; queue_cap; tenant_cap; backoff; faults }
+let config ?(workers = 4) ?(queue_cap = 256) ?(tenant_cap = 128) ?faults
+    ~socket ~state_dir () =
+  { socket; state_dir; workers; queue_cap; tenant_cap; faults }
 
 type exit_reason = Drained | Killed of string
 
@@ -112,8 +111,7 @@ let exec_job t job =
     | None -> ());
     let r =
       Engine.resolve ~cache:job.sub.cache ~checkpoint:job.sub.checkpoint
-        ?faults:t.cfg.faults ~retries:job.sub.manifest.retries
-        ?timeout:job.sub.manifest.timeout ~backoff:t.cfg.backoff job.spec
+        ?faults:t.cfg.faults ~retries:job.sub.manifest.retries job.spec
     in
     locked t (fun () ->
         job.sub.completed <- job.sub.completed + 1;
@@ -202,8 +200,7 @@ let handle_submit t (s : Protocol.submit) =
                 then `Busy "tenant quota"
                 else begin
                   let m =
-                    Store.make ~tenant:s.tenant ~specs:s.specs
-                      ~retries:s.retries ~timeout:s.timeout
+                    Store.make ~tenant:s.tenant ~specs:s.specs ~retries:s.retries
                   in
                   (* Durable before acked: the manifest hits disk
                      (atomic rename) before the Accepted goes out. *)

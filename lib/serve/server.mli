@@ -22,7 +22,6 @@ type config = private {
   workers : int;
   queue_cap : int;  (** max admitted-but-unfinished jobs, all tenants *)
   tenant_cap : int;  (** same bound per tenant *)
-  backoff : float;  (** engine retry backoff base, seconds *)
   faults : Pc_exec.Faults.t option;
       (** chaos injection shared by all workers; [wkill] exercises the
           supervision tree, [kill_after] the whole-daemon kill *)
@@ -32,14 +31,12 @@ val config :
   ?workers:int ->
   ?queue_cap:int ->
   ?tenant_cap:int ->
-  ?backoff:float ->
   ?faults:Pc_exec.Faults.t ->
   socket:string ->
   state_dir:string ->
   unit ->
   config
-(** Defaults: 4 workers, queue cap 256, tenant cap 128, backoff 50ms,
-    no faults. *)
+(** Defaults: 4 workers, queue cap 256, tenant cap 128, no faults. *)
 
 type exit_reason =
   | Drained  (** graceful: queue empty, state closed and released *)

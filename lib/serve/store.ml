@@ -27,7 +27,6 @@ type manifest = {
   tenant : string;
   specs : Spec.t list;
   retries : int;
-  timeout : float option;
 }
 
 let lock_path ~state_dir = Filename.concat state_dir "serve.lock"
@@ -50,21 +49,19 @@ let manifest_path ~state_dir m =
 
 let submission_id specs = Checkpoint.sweep_digest specs
 
-let make ~tenant ~specs ~retries ~timeout =
-  { id = submission_id specs; tenant; specs; retries; timeout }
+let make ~tenant ~specs ~retries =
+  { id = submission_id specs; tenant; specs; retries }
 
 (* ------------------------------------------------------------------ *)
 
 let manifest_to_json m =
   Json.Obj
-    ([
-       ("id", Json.String m.id);
-       ("tenant", Json.String m.tenant);
-       ("retries", Json.Int m.retries);
-       ("specs", Json.List (List.map Spec.to_json m.specs));
-     ]
-    @ match m.timeout with None -> [] | Some s -> [ ("timeout", Json.Float s) ]
-    )
+    [
+      ("id", Json.String m.id);
+      ("tenant", Json.String m.tenant);
+      ("retries", Json.Int m.retries);
+      ("specs", Json.List (List.map Spec.to_json m.specs));
+    ]
 
 let manifest_of_json j =
   match
@@ -77,9 +74,8 @@ let manifest_of_json j =
         Option.bind (Json.member "retries" j) Json.to_int
         |> Option.value ~default:0
       in
-      let timeout = Option.bind (Json.member "timeout" j) Json.to_float in
       let specs = List.map Spec.of_json specs in
-      let m = { id; tenant; specs; retries; timeout } in
+      let m = { id; tenant; specs; retries } in
       (* The id is derived, not trusted: a manifest whose id does not
          match its spec list was tampered with or torn. *)
       if submission_id specs <> id then failwith "manifest id mismatch";

@@ -21,7 +21,6 @@ type manifest = {
   tenant : string;
   specs : Pc_exec.Spec.t list;
   retries : int;
-  timeout : float option;
 }
 
 val submission_id : Pc_exec.Spec.t list -> string
@@ -30,7 +29,6 @@ val make :
   tenant:string ->
   specs:Pc_exec.Spec.t list ->
   retries:int ->
-  timeout:float option ->
   manifest
 
 val lock_path : state_dir:string -> string

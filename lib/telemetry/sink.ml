@@ -7,9 +7,9 @@
    [Summary] turns on the aggregate instruments (counters, gauges,
    spans, low-rate histograms); [Full] additionally enables the
    per-event instruments (allocation-size histograms, the HS/M
-   trajectory sampler) that callers gate on [full_on]. Telemetry never
-   influences a simulation's control flow: with any level, results are
-   bit-identical to [Off] (pinned by a QCheck property in
+   trajectory sampler) that callers gate on [full_active]. Telemetry
+   never influences a simulation's control flow: with any level,
+   results are bit-identical to [Off] (pinned by a QCheck property in
    test_telemetry.ml). *)
 
 type level = Off | Summary | Full
@@ -28,7 +28,6 @@ let set lvl =
   full_active := lvl = Full
 
 let on () = !active
-let full_on () = !full_active
 
 let to_string = function Off -> "off" | Summary -> "summary" | Full -> "full"
 

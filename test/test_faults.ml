@@ -67,6 +67,32 @@ let test_hash01_deterministic () =
     "different attempt, different draw" true
     (v1 <> Faults.hash01 ~seed:7 ~site:"crash" ~digest:"abc" 1)
 
+let test_backoff_bounds () =
+  List.iter
+    (fun (seed, site, digest, base) ->
+      for k = 0 to 10 do
+        let b = Faults.backoff ~seed ~site ~digest ~base k in
+        Alcotest.(check (float 0.))
+          "same inputs, same sleep" b
+          (Faults.backoff ~seed ~site ~digest ~base k);
+        let scale = base *. (2. ** float_of_int (min k 6)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "k=%d base=%g: in [0.5, 1.5) * base * 2^min(k,6)" k
+             base)
+          true
+          (b >= Float.min 5.0 (0.5 *. scale) && b < 1.5 *. scale);
+        Alcotest.(check bool) "never above 5s" true (b <= 5.0)
+      done)
+    [
+      (0, "backoff", "abc", 0.1);
+      (7, "alice.submit", "backoff", 0.02);
+      (3, "bob.reconnect", "backoff", 1.0);
+    ];
+  Alcotest.(check bool)
+    "the jitter depends on the site" true
+    (Faults.backoff ~seed:1 ~site:"a" ~digest:"d" ~base:0.1 0
+    <> Faults.backoff ~seed:1 ~site:"b" ~digest:"d" ~base:0.1 0)
+
 let test_spec_string_round_trip () =
   (match Faults.of_string "crash=0.3,delay=0.15,trunc=0.2,corrupt=0.2,seed=7" with
   | Ok f ->
@@ -85,7 +111,7 @@ let test_spec_string_round_trip () =
     [ ""; "crash"; "crash=2.0"; "nope=1"; "kill-after=-1" ]
 
 (* ------------------------------------------------------------------ *)
-(* Crash and delay recovery                                           *)
+(* Crash recovery                                                     *)
 
 let test_crash_recovery () =
   (* crash=1.0: every job dies on attempts 0 and 1 (max_transient=2);
@@ -113,17 +139,6 @@ let test_crash_exhausts_retries () =
         "classified as unrecovered transient" true
         (contains ~sub:"unrecovered transient" msg)
   | Ok _ -> Alcotest.fail "expected a failure"
-
-let test_delay_timeout_retry () =
-  (* delay=1.0 stalls attempt 0 past the timeout; attempt 1 is beyond
-     max_transient=1 and runs clean. *)
-  let faults =
-    Faults.make ~seed:2 ~delay:1.0 ~delay_s:0.08 ~max_transient:1 ()
-  in
-  let spec = Spec.robson ~manager:"first-fit" ~m:(1 lsl 8) ~n:(1 lsl 4) () in
-  let r = Engine.execute_with_retries ~faults ~retries:2 ~timeout:0.04 ~backoff:0.0005 spec in
-  Alcotest.(check bool) "recovered" true (Result.is_ok r.result);
-  Alcotest.(check int) "took exactly one retry" 2 r.attempts
 
 let test_deterministic_failure_probe () =
   (* A spec that raises the same exception every time must be probed
@@ -298,6 +313,7 @@ let () =
         [
           Alcotest.test_case "seeded coin" `Quick test_hash01_deterministic;
           Alcotest.test_case "spec strings" `Quick test_spec_string_round_trip;
+          Alcotest.test_case "seeded backoff bounds" `Quick test_backoff_bounds;
         ] );
       ( "transient failures",
         [
@@ -305,8 +321,6 @@ let () =
             test_crash_recovery;
           Alcotest.test_case "retry budget exhausts" `Quick
             test_crash_exhausts_retries;
-          Alcotest.test_case "delay + timeout retries" `Quick
-            test_delay_timeout_retry;
           Alcotest.test_case "deterministic failures probed once" `Quick
             test_deterministic_failure_probe;
         ] );

@@ -140,14 +140,8 @@ let test_request_round_trip () =
   let requests =
     [
       Protocol.Submit
-        {
-          tenant = "alice";
-          specs = specs_from 10 2;
-          retries = 2;
-          timeout = Some 0.25;
-        };
-      Protocol.Submit
-        { tenant = "b0b_.-"; specs = specs_from 20 1; retries = 0; timeout = None };
+        { tenant = "alice"; specs = specs_from 10 2; retries = 2 };
+      Protocol.Submit { tenant = "b0b_.-"; specs = specs_from 20 1; retries = 0 };
       Protocol.Status { tenant = "t"; id = "deadbeef" };
       Protocol.Cancel { tenant = "t"; id = "deadbeef" };
       Protocol.Results { tenant = "t"; id = "deadbeef" };
@@ -257,7 +251,7 @@ let test_tenant_names () =
 let test_store_round_trip () =
   let state_dir = Filename.concat (fresh_dir ()) "state" in
   let specs = specs_from 30 2 in
-  let m = Store.make ~tenant:"alice" ~specs ~retries:2 ~timeout:(Some 1.5) in
+  let m = Store.make ~tenant:"alice" ~specs ~retries:2 in
   Alcotest.(check string)
     "manifest id is the sweep digest" (Store.submission_id specs) m.Store.id;
   Store.save ~state_dir m;
@@ -265,9 +259,56 @@ let test_store_round_trip () =
   | [ m' ] -> Alcotest.(check bool) "manifest round-trips" true (m = m')
   | ms -> Alcotest.failf "expected 1 manifest, got %d" (List.length ms)
 
+(* Submissions from v1 clients that still send a per-attempt
+   ["timeout"] decode with the field dropped, and so do manifests that
+   carry one on disk. *)
+let test_legacy_timeout_dropped () =
+  let specs = specs_from 50 2 in
+  let frame =
+    Json.to_string
+      (Json.Obj
+         [
+           ("v", Json.Int 1);
+           ("op", Json.String "submit");
+           ("tenant", Json.String "alice");
+           ("specs", Json.List (List.map Spec.to_json specs));
+           ("retries", Json.Int 1);
+           ("timeout", Json.Float 0.25);
+         ])
+  in
+  let s =
+    match Protocol.request_of_string frame with
+    | Ok (Protocol.Submit s) -> s
+    | Ok _ -> Alcotest.fail "decoded as another op"
+    | Error msg -> Alcotest.failf "v1 submit with a timeout refused: %s" msg
+  in
+  Alcotest.(check int) "retries kept" 1 s.Protocol.retries;
+  let state_dir = Filename.concat (fresh_dir ()) "state" in
+  let m = Store.make ~tenant:s.tenant ~specs:s.specs ~retries:s.retries in
+  Store.save ~state_dir m;
+  let path =
+    List.fold_left Filename.concat state_dir
+      [ "tenants"; "alice"; "submissions"; m.Store.id ^ ".json" ]
+  in
+  let saved = Json.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  Alcotest.(check bool)
+    "saved manifest has no timeout key" true
+    (Json.member "timeout" saved = None);
+  (match saved with
+  | Json.Obj fields ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (Json.to_string (Json.Obj (fields @ [ ("timeout", Json.Float 1.5) ]))))
+  | _ -> Alcotest.fail "manifest is not an object");
+  match Store.load_all ~state_dir with
+  | [ m' ] ->
+      Alcotest.(check string) "same id on reload" m.Store.id m'.Store.id;
+      Alcotest.(check bool) "same manifest on reload" true (m = m')
+  | ms -> Alcotest.failf "expected 1 manifest, got %d" (List.length ms)
+
 let test_store_skips_tampered () =
   let state_dir = Filename.concat (fresh_dir ()) "state" in
-  let good = Store.make ~tenant:"alice" ~specs:(specs_from 40 2) ~retries:0 ~timeout:None in
+  let good = Store.make ~tenant:"alice" ~specs:(specs_from 40 2) ~retries:0 in
   Store.save ~state_dir good;
   let dir =
     List.fold_left Filename.concat state_dir [ "tenants"; "alice"; "submissions" ]
@@ -456,8 +497,7 @@ let with_server ?faults ?(workers = 2) ?queue_cap ?tenant_cap f =
   let socket = Filename.concat dir "pc.sock" in
   let state_dir = Filename.concat dir "state" in
   let cfg =
-    Server.config ~workers ?queue_cap ?tenant_cap ~backoff:0.001 ?faults
-      ~socket ~state_dir ()
+    Server.config ~workers ?queue_cap ?tenant_cap ?faults ~socket ~state_dir ()
   in
   let t = Server.start cfg in
   Fun.protect
@@ -530,7 +570,6 @@ let test_rejects_bad_peers () =
                     tenant = "../evil";
                     specs = specs_from 110 1;
                     retries = 0;
-                    timeout = None;
                   })
            with
           | Protocol.Refused { code; _ } ->
@@ -581,7 +620,7 @@ let test_backpressure_queue_full () =
           (match
              Client.rpc conn
                (Protocol.Submit
-                  { tenant = "alice"; specs = specs_b; retries = 0; timeout = None })
+                  { tenant = "alice"; specs = specs_b; retries = 0 })
            with
           | Protocol.Retry_after { seconds; reason } ->
               Alcotest.(check bool) "positive hint" true (seconds > 0.);
@@ -607,7 +646,6 @@ let test_backpressure_tenant_quota () =
                     tenant = "bob";
                     specs = specs_from 140 3;
                     retries = 0;
-                    timeout = None;
                   })
            with
           | Protocol.Retry_after { reason; _ } ->
@@ -641,7 +679,7 @@ let test_drain_refuses_fresh_finishes_pending () =
   let dir = fresh_dir () in
   let socket = Filename.concat dir "pc.sock" in
   let cfg =
-    Server.config ~workers:1 ~backoff:0.001 ~faults:slow_faults ~socket
+    Server.config ~workers:1 ~faults:slow_faults ~socket
       ~state_dir:(Filename.concat dir "state") ()
   in
   let t = Server.start cfg in
@@ -654,7 +692,7 @@ let test_drain_refuses_fresh_finishes_pending () =
         (match
            Client.rpc conn
              (Protocol.Submit
-                { tenant = "alice"; specs = specs_from 180 1; retries = 0; timeout = None })
+                { tenant = "alice"; specs = specs_from 180 1; retries = 0 })
          with
         | Protocol.Retry_after { reason; _ } ->
             Alcotest.(check string) "drain refuses fresh work" "draining" reason
@@ -662,7 +700,7 @@ let test_drain_refuses_fresh_finishes_pending () =
         (* ... but resubmitting known work still answers. *)
         (match
            Client.rpc conn
-             (Protocol.Submit { tenant = "alice"; specs; retries = 0; timeout = None })
+             (Protocol.Submit { tenant = "alice"; specs; retries = 0 })
          with
         | Protocol.Accepted { known; _ } ->
             Alcotest.(check bool) "known id still acked while draining" true known
@@ -680,6 +718,42 @@ let test_drain_refuses_fresh_finishes_pending () =
   | conn ->
       Client.close conn;
       Alcotest.fail "connect must fail after drain"
+
+(* The engine's own transient class under the daemon: injected worker
+   crashes are retried inside the worker (not by the supervision tree)
+   and recover with a budget of 2; with no budget they surface as
+   classified failures. *)
+let test_crash_retries () =
+  let faults = Faults.make ~crash:0.5 ~max_transient:2 () in
+  let crashes specs =
+    List.exists
+      (fun s ->
+        Faults.hash01 ~seed:0 ~site:"crash" ~digest:(Spec.digest s) 0 < 0.5)
+      specs
+  in
+  let recovered = specs_from 200 4 and unrecovered = specs_from 210 4 in
+  Alcotest.(check bool) "a crash is injected in each submission" true
+    (crashes recovered && crashes unrecovered);
+  with_server ~faults (fun ~socket ~state_dir:_ _t ->
+      let run = Client.submit_and_wait ~socket ~tenant:"alice" ~retries:2 recovered in
+      Alcotest.(check int) "retries recover every crash" 0
+        run.Client.progress.Protocol.failed;
+      Alcotest.(check bool)
+        "outcomes equal a local execution" true
+        (run.Client.outcomes = reference recovered);
+      let run = Client.submit_and_wait ~socket ~tenant:"alice" ~retries:0 unrecovered in
+      Alcotest.(check bool) "without retries crashes fail" true
+        (run.Client.progress.Protocol.failed > 0);
+      List.iter
+        (function
+          | _, Ok _ -> ()
+          | key, Error msg ->
+              Alcotest.(check bool)
+                (key ^ ": classified as an unrecovered worker crash")
+                true
+                (String.starts_with
+                   ~prefix:"unrecovered transient failure (worker crash)" msg))
+        run.Client.outcomes)
 
 (* The acceptance drill: 8 concurrent clients, 16 submissions, 96 jobs
    total, injected worker kills throughout — every submission must
@@ -760,7 +834,7 @@ let kill_restart_case (seed, count, kpick) =
   in
   let t1 =
     Server.start
-      (Server.config ~workers:2 ~backoff:0.001 ~faults:chaos ~socket
+      (Server.config ~workers:2 ~faults:chaos ~socket
          ~state_dir ())
   in
   let conn = Client.connect socket in
@@ -776,7 +850,7 @@ let kill_restart_case (seed, count, kpick) =
      client just resubmits (idempotent) and reads the results. *)
   let t2 =
     Server.start
-      (Server.config ~workers:2 ~backoff:0.001 ~socket ~state_dir ())
+      (Server.config ~workers:2 ~socket ~state_dir ())
   in
   let run = Client.submit_and_wait ~socket ~tenant specs in
   if run.Client.id <> id then QCheck.Test.fail_report "submission id changed";
@@ -835,6 +909,8 @@ let () =
           Alcotest.test_case "manifests round-trip" `Quick test_store_round_trip;
           Alcotest.test_case "tampered manifests skipped" `Quick
             test_store_skips_tampered;
+          Alcotest.test_case "legacy timeout field dropped" `Quick
+            test_legacy_timeout_dropped;
         ] );
       ( "lockfile",
         [
@@ -870,6 +946,8 @@ let () =
             test_drain_refuses_fresh_finishes_pending;
           Alcotest.test_case "chaos drill: 8 clients, 96 jobs, worker kills"
             `Quick test_chaos_drill;
+          Alcotest.test_case "worker crashes retried by the engine" `Quick
+            test_crash_retries;
         ] );
       ( "crash recovery",
         [ QCheck_alcotest.to_alcotest test_kill_restart_identical ] );
