@@ -8,6 +8,7 @@
 *)
 
 open Pc_core
+module Spec = Pc.Exec.Spec
 
 let () =
   let m = 1 lsl 12 and n = 1 lsl 6 in
@@ -16,8 +17,8 @@ let () =
     (Pc.Bounds.Robson.waste_factor_pow2 ~m ~n);
   List.iter
     (fun key ->
-      let r = Pc.run_robson ~m ~n ~manager:key () in
-      Fmt.pr "  %-12s HS/M = %.3f@." key r.outcome.hs_over_m)
+      let o = Spec.run (Spec.robson ~manager:key ~m ~n ()) in
+      Fmt.pr "  %-12s HS/M = %.3f@." key o.hs_over_m)
     [ "first-fit"; "next-fit"; "best-fit"; "worst-fit"; "aligned-fit";
       "buddy"; "segregated" ];
 
@@ -25,12 +26,12 @@ let () =
   Fmt.pr "@.=== Cohen-Petrank's P_F vs compacting managers (M=2^16, n=2^8) ===@.";
   List.iter
     (fun c ->
-      let r = Pc.run_pf ~m ~n ~c ~manager:"compacting" () in
+      let o = Spec.run (Spec.pf ~c ~manager:"compacting" ~m ~n ()) in
       Fmt.pr
         "  c=%-3g  ell=%d  measured HS/M = %.3f   moved %a words \
          (budget-compliant: %b)@."
-        c r.config.ell r.outcome.hs_over_m Pc.Word.pp_count r.outcome.moved
-        r.outcome.compliant)
+        c (Pc.Pf.config ~m ~n ~c ()).ell o.hs_over_m Pc.Word.pp_count o.moved
+        o.compliant)
     [ 4.0; 8.0; 16.0; 32.0 ];
 
   (* The same adversary against unlimited compaction: fragmentation

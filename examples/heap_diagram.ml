@@ -31,9 +31,9 @@ let () =
   (* Robson's checkerboard: run P_R at toy scale against first fit and
      draw the heap after each step. *)
   Fmt.pr "Robson's P_R vs first-fit (M=256, n=16): final heap@.";
-  let r = Pc.run_robson ~m:256 ~n:16 ~manager:"first-fit" () in
-  Fmt.pr "HS/M = %.3f (Robson bound %.3f)@." r.outcome.hs_over_m
-    r.theory_waste;
+  let o = Pc.Exec.Spec.(run (robson ~manager:"first-fit" ~m:256 ~n:16 ())) in
+  Fmt.pr "HS/M = %.3f (Robson bound %.3f)@." o.hs_over_m
+    (Pc.Bounds.Robson.waste_factor_pow2 ~m:256 ~n:16);
   (* Re-run capturing the heap for rendering. *)
   let manager = Pc.Managers.construct_exn "first-fit" in
   let program = Pc.Robson_pr.program ~m:256 ~n:16 () in

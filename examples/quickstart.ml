@@ -53,7 +53,8 @@ let () =
     (Pc.Bounds.Cohen_petrank.waste_factor ~m ~n ~c:10.0);
 
   (* And the adversary that proves it, at laptop scale: *)
-  let report = Pc.run_pf ~m:(1 lsl 14) ~n:(1 lsl 7) ~c:8.0 ~manager:"compacting" () in
+  let m = 1 lsl 14 and n = 1 lsl 7 in
+  let o = Pc.Exec.Spec.(run (pf ~c:8.0 ~manager:"compacting" ~m ~n ())) in
   Fmt.pr "@.PF vs compacting manager (M=2^14, n=2^7, c=8):@.";
   Fmt.pr "  measured HS/M = %.3f   (theory floor at this scale: %.3f)@."
-    report.outcome.hs_over_m report.theory_h
+    o.hs_over_m (Pc.Bounds.Cohen_petrank.waste_factor ~m ~n ~c:8.0)

@@ -42,8 +42,8 @@ type outcome = {
   compliant : bool; (* c-partial rule never violated *)
 }
 
-let run ?c ?(audit = Pc_audit.Oracle.Off) ?(audit_every = 64) ?audit_c
-    ?theory_h ?failures_dir ~program ~manager () =
+let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
+    ~program ~manager () =
   let m = Program.live_bound program in
   (* The oracle audits [audit_c] — normally the enforced bound, but a
      caller can audit a bound the budget does not enforce (that is how
@@ -83,9 +83,7 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?(audit_every = 64) ?audit_c
     let oracle =
       if audit = Pc_audit.Oracle.Off then None
       else
-        Some
-          (Pc_audit.Oracle.attach ~level:audit ~sample_every:audit_every
-             ?c:audit_c ~live_bound:m heap)
+        Some (Pc_audit.Oracle.attach ~level:audit ?c:audit_c ~live_bound:m heap)
     in
     let trace =
       if record then begin

@@ -19,7 +19,6 @@ type outcome = {
 val run :
   ?c:float ->
   ?audit:Pc_audit.Oracle.level ->
-  ?audit_every:int ->
   ?audit_c:float ->
   ?theory_h:float ->
   ?failures_dir:string ->
@@ -34,9 +33,9 @@ val run :
     [audit] (default [Off]) attaches the {!Pc_audit.Oracle} layer to
     the run: the heap's event stream is checked (budget, live-space,
     structural, and — at [Differential] — the kernel-vs-reference
-    watchdog; [audit_every], default 64, is the structural-sweep
-    sampling period). On any violation — including
-    {!Pc_heap.Budget.Exceeded} and PF's {!Pf.Audit_failure} — the
+    watchdog; the structural sweep runs at least 64 events apart).
+    On any violation — including {!Pc_heap.Budget.Exceeded} and PF's
+    {!Pf.Audit_failure} — the
     deterministic execution is repeated with a {!Pc_heap.Trace}
     recorder attached (clean runs pay no recording cost), the captured
     trace is delta-debugged, and an atomic repro bundle is emitted

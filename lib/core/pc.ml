@@ -1,7 +1,6 @@
 (* The public facade: one module to open. Re-exports the substrate
-   (heap model), the memory managers, the adversarial programs, and
-   the closed-form bounds under stable names, plus a few convenience
-   drivers for the common experiments. *)
+   (heap model), the memory managers, the adversarial programs, the
+   engine and the closed-form bounds under stable names. *)
 
 (* Substrate *)
 module Word = Pc_heap.Word
@@ -86,38 +85,3 @@ module Bounds = struct
   module Theorem2 = Pc_bounds.Theorem2
   module Params = Pc_bounds.Params
 end
-
-(* Run the paper's adversary PF against a named manager and report the
-   outcome next to the Theorem 1 prediction. *)
-type pf_report = {
-  outcome : Runner.outcome;
-  config : Pf.config;
-  theory_h : float; (* Theorem 1 waste factor at these parameters *)
-}
-
-let run_pf ?ell ?(audit = Pc_audit.Oracle.Off) ?failures_dir ~m ~n ~c
-    ~manager () =
-  let mgr = Managers.construct_exn manager in
-  (* At Full the oracle layer also turns on PF's internal Claim 4.16
-     potential audit. *)
-  let pf_audit = audit = Pc_audit.Oracle.Full in
-  let config, program = Pf.program ?ell ~audit:pf_audit ~m ~n ~c () in
-  let outcome =
-    Runner.run ~c ~audit ~theory_h:config.h ?failures_dir
-      ~program ~manager:mgr ()
-  in
-  let theory_h = Pc_bounds.Cohen_petrank.waste_factor ~m ~n ~c in
-  { outcome; config; theory_h }
-
-(* Run Robson's adversary against a named (non-moving) manager and
-   report the outcome next to Robson's matching bound. *)
-type robson_report = {
-  outcome : Runner.outcome;
-  theory_waste : float; (* Robson's bound divided by M *)
-}
-
-let run_robson ?steps ~m ~n ~manager () =
-  let mgr = Managers.construct_exn manager in
-  let program = Robson_pr.program ?steps ~m ~n () in
-  let outcome = Runner.run ~program ~manager:mgr () in
-  { outcome; theory_waste = Pc_bounds.Robson.waste_factor_pow2 ~m ~n }

@@ -12,8 +12,9 @@
     - the interaction model and adversaries: {!Driver}, {!Program},
       {!Runner}, {!Robson_pr}, {!Pf}, {!Random_workload};
     - closed-form bounds: {!Bounds};
-    - the parallel sweep engine with its result cache: {!Exec}, and
-      the JSON reader/writer its records use: {!Json};
+    - jobs and the parallel sweep engine with its result cache:
+      {!Exec} ({!Exec.Spec.run} runs one job), and the JSON
+      reader/writer its records use: {!Json};
     - self-auditing runs: runtime oracles, the kernel-vs-reference
       divergence watchdog and trace-shrinking failure triage: {!Audit};
     - process-wide instruments behind a zero-cost-when-disabled sink:
@@ -105,41 +106,3 @@ module Bounds : sig
   module Theorem2 = Pc_bounds.Theorem2
   module Params = Pc_bounds.Params
 end
-
-type pf_report = {
-  outcome : Runner.outcome;
-  config : Pf.config;
-  theory_h : float;  (** Theorem 1 waste factor at these parameters *)
-}
-
-val run_pf :
-  ?ell:int ->
-  ?audit:Pc_audit.Oracle.level ->
-  ?failures_dir:string ->
-  m:int ->
-  n:int ->
-  c:float ->
-  manager:string ->
-  unit ->
-  pf_report
-(** Run the paper's adversary [P_F] against a manager from
-    {!Managers}, under the c-partial budget. [audit] (default [Off])
-    attaches the oracle layer including the Theorem 1 floor; at [Full]
-    it also enables PF's internal Claim 4.16 potential audit. On a
-    violation the run raises {!Audit.Report.Reported} with the repro
-    bundle (written under [failures_dir]). *)
-
-type robson_report = {
-  outcome : Runner.outcome;
-  theory_waste : float;  (** Robson's matching bound divided by [M] *)
-}
-
-val run_robson :
-  ?steps:int ->
-  m:int ->
-  n:int ->
-  manager:string ->
-  unit ->
-  robson_report
-(** Run Robson's adversary [P_R] against a manager from {!Managers},
-    with no compaction budget. *)

@@ -76,27 +76,12 @@ type summary = {
 (* ------------------------------------------------------------------ *)
 (* One job, with retries                                              *)
 
-(* Theorem 1's floor applies to full-strength PF only: the ablation
-   variants (no density maintenance, truncated stage 1) are designed
-   to fall below it. *)
-let theory_h_of spec =
-  match (spec.Spec.workload, spec.Spec.c) with
-  | Spec.Pf { ell; stage1_steps = None; maintain_density = true }, Some c -> (
-      match Pf.config ?ell ~m:spec.Spec.m ~n:spec.Spec.n ~c () with
-      | cfg -> Some cfg.Pf.h
-      | exception Invalid_argument _ -> None)
-  | _ -> None
-
 let run_once ?faults ?audit ?failures_dir spec ~digest ~attempt =
   match
     (match faults with
     | Some f -> Faults.pre_job f ~digest ~attempt
     | None -> ());
-    let pf_audit = audit = Some Pc_audit.Oracle.Full in
-    let program = Spec.build ~pf_audit spec in
-    let manager = Spec.manager spec in
-    Runner.run ?c:spec.Spec.c ?audit ?theory_h:(theory_h_of spec)
-      ?failures_dir ~program ~manager ()
+    Spec.run ?audit ?failures_dir spec
   with
   | outcome -> Ok outcome
   | exception (Faults.Sweep_killed _ as e) ->

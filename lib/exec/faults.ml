@@ -194,14 +194,13 @@ let of_string s =
             | "seed" -> Result.map (fun i -> { t with seed = i }) (int k)
             | "crash" -> Result.map (fun p -> { t with crash = p }) (prob k)
             | "delay" -> Result.map (fun p -> { t with delay = p }) (prob k)
-            | "delay-s" | "delay_s" ->
-                Result.map (fun f -> { t with delay_s = f }) (num k)
+            | "delay-s" -> Result.map (fun f -> { t with delay_s = f }) (num k)
             | "trunc" -> Result.map (fun p -> { t with trunc = p }) (prob k)
             | "corrupt" -> Result.map (fun p -> { t with corrupt = p }) (prob k)
             | "wkill" -> Result.map (fun p -> { t with wkill = p }) (prob k)
-            | "max-transient" | "max_transient" ->
+            | "max-transient" ->
                 Result.map (fun i -> { t with max_transient = i }) (int k)
-            | "kill-after" | "kill_after" ->
+            | "kill-after" ->
                 Result.map (fun i -> { t with kill_after = Some i }) (int k)
             | _ -> Error (Printf.sprintf "unknown fault field %S" k)))
   in

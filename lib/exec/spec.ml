@@ -27,6 +27,7 @@ type workload =
       dist : size_dist;
       target_live : int;
     }
+  | Script of { text : string }
 
 type t = {
   workload : workload;
@@ -71,6 +72,16 @@ let random_churn ?(seed = 42) ?(churn = 10_000) ?c ~manager ~m ~dist
     c;
   }
 
+let script ~manager text =
+  let program = Script.program (Script.parse text) in
+  {
+    workload = Script { text };
+    manager;
+    m = Program.live_bound program;
+    n = Program.max_size program;
+    c = None;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Realisation                                                        *)
 
@@ -93,8 +104,29 @@ let build ?(pf_audit = false) t =
       Sawtooth.program ?rounds ~pattern ~m:t.m ~n:t.n ()
   | Random_churn { seed; churn; dist; target_live } ->
       Random_workload.program ~seed ~churn ~m:t.m ~dist ~target_live ()
+  | Script { text } -> Script.program (Script.parse text)
 
 let manager t = Pc_manager.Registry.construct_exn t.manager
+
+(* Theorem 1's floor applies to full-strength PF only: the ablation
+   variants (no density maintenance, truncated stage 1) are designed
+   to fall below it. *)
+let theory_h t =
+  match (t.workload, t.c) with
+  | Pf { ell; stage1_steps = None; maintain_density = true }, Some c -> (
+      match Pf.config ?ell ~m:t.m ~n:t.n ~c () with
+      | cfg -> Some cfg.Pf.h
+      | exception Invalid_argument _ -> None)
+  | _ -> None
+
+let run ?audit ?(broken_budget = false) ?failures_dir t =
+  let program = build ~pf_audit:(audit = Some Pc_audit.Oracle.Full) t in
+  let manager = manager t in
+  (* A broken budget lifts the enforced bound; the oracle still audits
+     the spec's c. *)
+  let c, audit_c = if broken_budget then (None, t.c) else (t.c, None) in
+  Runner.run ?c ?audit_c ?audit ?theory_h:(theory_h t) ?failures_dir ~program
+    ~manager ()
 
 (* ------------------------------------------------------------------ *)
 (* Canonical key and digest                                           *)
@@ -124,6 +156,7 @@ let workload_key = function
   | Random_churn { seed; churn; dist; target_live } ->
       Printf.sprintf "random seed=%d churn=%d dist=%s live=%d" seed churn
         (dist_key dist) target_live
+  | Script { text } -> Printf.sprintf "script %S" text
 
 let key t =
   Printf.sprintf "%s | manager=%s m=%d n=%d c=%s" (workload_key t.workload)
@@ -198,6 +231,8 @@ let workload_to_json = function
           ("dist", dist_to_json dist);
           ("target_live", Json.Int target_live);
         ]
+  | Script { text } ->
+      Json.Obj [ ("kind", Json.String "script"); ("text", Json.String text) ]
 
 let to_json t =
   Json.Obj
@@ -274,19 +309,29 @@ let workload_of_json j =
           dist = dist_of_json (Json.member_exn "dist" j);
           target_live = get_int j "target_live";
         }
+  | "script" -> Script { text = get_string j "text" }
   | k -> fail "unknown workload %S" k
 
 let of_json j =
-  {
-    workload = workload_of_json (Json.member_exn "workload" j);
-    manager = get_string j "manager";
-    m = get_int j "m";
-    n = get_int j "n";
-    c =
-      (match Json.member "c" j with
-      | None | Some Json.Null -> None
-      | Some v -> (
-          match Json.to_float v with
-          | Some c -> Some c
-          | None -> fail "field c: expected float or null"));
-  }
+  let t =
+    {
+      workload = workload_of_json (Json.member_exn "workload" j);
+      manager = get_string j "manager";
+      m = get_int j "m";
+      n = get_int j "n";
+      c =
+        (match Json.member "c" j with
+        | None | Some Json.Null -> None
+        | Some v -> (
+            match Json.to_float v with
+            | Some c -> Some c
+            | None -> fail "field c: expected float or null"));
+    }
+  in
+  (* A script's m and n are its own: parse it here, so a bad script is
+     refused when it is decoded. *)
+  match t.workload with
+  | Script { text } -> (
+      try { (script ~manager:t.manager text) with c = t.c }
+      with Script.Bad_script msg -> fail "bad script: %s" msg)
+  | _ -> t

@@ -26,6 +26,8 @@ type workload =
       dist : size_dist;
       target_live : int;
     }
+  | Script of { text : string }
+      (** a {!Pc_adversary.Script} in its one-line syntax *)
 
 type t = {
   workload : workload;
@@ -75,6 +77,11 @@ val random_churn :
   t
 (** [n] is derived from [dist]. *)
 
+val script : manager:string -> string -> t
+(** An unbudgeted script; [m] and [n] are the parsed script's own peak
+    live words and largest size. Raises {!Pc_adversary.Script.Bad_script} on a script
+    that does not parse or validate. *)
+
 (** {1 Realisation} *)
 
 val build : ?pf_audit:bool -> t -> Pc_adversary.Program.t
@@ -88,6 +95,22 @@ val build : ?pf_audit:bool -> t -> Pc_adversary.Program.t
 val manager : t -> Pc_manager.Manager.t
 (** Fresh manager instance. Raises [Invalid_argument] on an unknown
     key. *)
+
+val run :
+  ?audit:Pc_audit.Oracle.level ->
+  ?broken_budget:bool ->
+  ?failures_dir:string ->
+  t ->
+  Pc_adversary.Runner.outcome
+(** Build the program and a fresh manager and run them under the
+    spec's compaction bound: the one place a job meets
+    {!Pc_adversary.Runner}. [audit] attaches the oracle layer (at
+    [Full] also PF's Claim 4.16 audit, see {!build}); full-strength PF
+    (no [stage1_steps], density maintained) also gets Theorem 1's
+    floor. [broken_budget] (default false) lifts the enforced budget
+    while the oracle still audits the spec's [c] — the audit drill's
+    model of a manager whose budget debit is broken. Raises what
+    {!build}, {!manager} and the runner raise. *)
 
 (** {1 Identity} *)
 

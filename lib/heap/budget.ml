@@ -17,7 +17,6 @@ let unlimited () = { c = 1.0; allocated = 0; moved = 0 }
 
 let is_unlimited t = t.c <= 1.0
 let c t = t.c
-let allocated t = t.allocated
 let moved t = t.moved
 
 let quota t =
@@ -33,9 +32,3 @@ let charge_move t words =
   t.moved <- t.moved + words
 
 let is_compliant t = is_unlimited t || t.moved <= quota t
-
-let pp ppf t =
-  if is_unlimited t then Fmt.string ppf "budget:unlimited"
-  else
-    Fmt.pf ppf "budget: c=%g allocated=%d moved=%d available=%d" t.c
-      t.allocated t.moved (available t)

@@ -16,7 +16,6 @@ val unlimited : unit -> t
 
 val is_unlimited : t -> bool
 val c : t -> float
-val allocated : t -> int
 val moved : t -> int
 
 val quota : t -> int
@@ -36,5 +35,3 @@ val charge_move : t -> int -> unit
 
 val is_compliant : t -> bool
 (** [true] while the c-partial rule has never been violated. *)
-
-val pp : Format.formatter -> t -> unit

@@ -106,6 +106,20 @@ let j_result = function
   | Ok outcome -> [ ("ok", Cache.outcome_to_json outcome) ]
   | Error msg -> [ ("error", Json.String msg) ]
 
+let health_fields h =
+  [
+    ("pending", Json.Int h.pending);
+    ("in_flight", Json.Int h.in_flight);
+    ("workers", Json.Int h.workers);
+    ("restarts", Json.Int h.restarts);
+    ("tenants", Json.Int h.tenants);
+    ("submissions", Json.Int h.submissions);
+    ("jobs_done", Json.Int h.jobs_done);
+    ("cache_hits", Json.Int h.cache_hits);
+    ("executed", Json.Int h.executed);
+    ("draining", Json.Bool h.draining);
+  ]
+
 let response_to_string resp =
   Json.to_string
     (versioned
@@ -147,20 +161,7 @@ let response_to_string resp =
              ("id", Json.String id);
              ("skipped", Json.Int skipped);
            ]
-       | Health_of h ->
-           [
-             ("type", Json.String "health");
-             ("pending", Json.Int h.pending);
-             ("in_flight", Json.Int h.in_flight);
-             ("workers", Json.Int h.workers);
-             ("restarts", Json.Int h.restarts);
-             ("tenants", Json.Int h.tenants);
-             ("submissions", Json.Int h.submissions);
-             ("jobs_done", Json.Int h.jobs_done);
-             ("cache_hits", Json.Int h.cache_hits);
-             ("executed", Json.Int h.executed);
-             ("draining", Json.Bool h.draining);
-           ]
+       | Health_of h -> ("type", Json.String "health") :: health_fields h
        | Draining -> [ ("type", Json.String "draining") ]
        | Refused { code; message } ->
            [

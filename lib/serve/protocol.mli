@@ -77,6 +77,10 @@ val request_of_string : string -> (request, string) result
 val response_to_string : response -> string
 val response_of_string : string -> (response, string) result
 
+val health_fields : health -> (string * Pc_json.Json.t) list
+(** The fields a [Health_of] response carries after its type tag, in
+    wire order — also the body of [pc health --json]. *)
+
 val tenant_ok : string -> bool
 (** Tenant names become directory components; restricted to
     [\[A-Za-z0-9._-\]], at most 64 chars, not ["."] or [".."]. *)

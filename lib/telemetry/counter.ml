@@ -1,19 +1,17 @@
-(* Monotonic counters: plain mutable ints, so the disabled path is one
-   load and an untaken branch. The engine folds its per-sweep totals
-   (jobs, retries, failures) in on the main domain after the pool
-   drains; an instrument bumped from several worker domains at once
-   (the kernel's, the engine's per-job resolution mix) can lose an
-   increment, so its count under a parallel sweep is approximate. *)
+(* Monotonic counters. The value is an [Atomic], so increments from
+   several worker domains at once (the kernel's counters, the engine's
+   per-job resolution mix under a parallel sweep) are never lost; the
+   disabled path is still one load of [Sink.active] and an untaken
+   branch. *)
 
-type t = { name : string; mutable value : int }
+type t = { name : string; value : int Atomic.t }
 
-let v name = { name; value = 0 }
+let v name = { name; value = Atomic.make 0 }
 let name t = t.name
-let value t = t.value
-let[@inline] incr t = if !Sink.active then t.value <- t.value + 1
-let[@inline] add t n = if !Sink.active then t.value <- t.value + n
+let value t = Atomic.get t.value
+let[@inline] incr t = if !Sink.active then Atomic.incr t.value
 
-(* [set] is for folding externally-maintained totals (the engine's
-   atomics) into a counter at snapshot time. *)
-let set t n = if !Sink.active then t.value <- n
-let reset t = t.value <- 0
+let[@inline] add t n =
+  if !Sink.active then ignore (Atomic.fetch_and_add t.value n : int)
+
+let reset t = Atomic.set t.value 0

@@ -1,5 +1,6 @@
-(** Monotonic counters — no-ops while telemetry is disabled. Create
-    through {!Registry.counter} so snapshots see them. *)
+(** Monotonic counters — no-ops while telemetry is disabled, and safe
+    to bump from several domains at once. Create through
+    {!Registry.counter} so snapshots see them. *)
 
 type t
 
@@ -11,5 +12,4 @@ val name : t -> string
 val value : t -> int
 val incr : t -> unit
 val add : t -> int -> unit
-val set : t -> int -> unit
 val reset : t -> unit

@@ -27,8 +27,6 @@ let set lvl =
   active := lvl <> Off;
   full_active := lvl = Full
 
-let on () = !active
-
 let to_string = function Off -> "off" | Summary -> "summary" | Full -> "full"
 
 let of_string = function

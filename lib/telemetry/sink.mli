@@ -13,7 +13,6 @@ val full_active : bool ref
 
 val level : unit -> level
 val set : level -> unit
-val on : unit -> bool
 val to_string : level -> string
 val of_string : string -> (level, [ `Msg of string ]) result
 val pp : level Fmt.t

@@ -189,8 +189,6 @@ let of_json j =
     in
     Ok { level; counters; gauges; histograms; spans }
 
-let validate = of_json
-
 (* CSV encoding: one wide table, one row per instrument; columns not
    applicable to an instrument kind are left empty. *)
 

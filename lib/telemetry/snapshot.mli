@@ -39,10 +39,6 @@ val to_json : t -> Pc_json.Json.t
 val of_json : Pc_json.Json.t -> (t, string) result
 (** Checks the schema tag and every field shape. *)
 
-val validate : Pc_json.Json.t -> (t, string) result
-(** Alias of {!of_json} for intent at call sites that only care that a
-    snapshot is well-formed. *)
-
 val csv_header : string
 
 val to_csv : t -> string

@@ -110,6 +110,21 @@ let test_spec_string_round_trip () =
         (Result.is_error (Faults.of_string bad)))
     [ ""; "crash"; "crash=2.0"; "nope=1"; "kill-after=-1" ]
 
+(* Each fault key has one spelling, the hyphenated one [to_string]
+   emits. *)
+let test_underscore_keys_rejected () =
+  List.iter
+    (fun (good, bad) ->
+      Alcotest.(check bool) (good ^ " accepted") true
+        (Result.is_ok (Faults.of_string good));
+      Alcotest.(check bool) (bad ^ " rejected") true
+        (Result.is_error (Faults.of_string bad)))
+    [
+      ("delay-s=0.01", "delay_s=0.01");
+      ("max-transient=3", "max_transient=3");
+      ("kill-after=5", "kill_after=5");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Crash recovery                                                     *)
 
@@ -314,6 +329,8 @@ let () =
           Alcotest.test_case "seeded coin" `Quick test_hash01_deterministic;
           Alcotest.test_case "spec strings" `Quick test_spec_string_round_trip;
           Alcotest.test_case "seeded backoff bounds" `Quick test_backoff_bounds;
+          Alcotest.test_case "underscore keys rejected" `Quick
+            test_underscore_keys_rejected;
         ] );
       ( "transient failures",
         [

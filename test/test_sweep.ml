@@ -183,6 +183,30 @@ let test_cache_hit_is_journaled () =
     "the hit's outcome is in the journal" true
     (journaled = Some (List.hd r0).result)
 
+(* A script spec takes its M and n from the parsed script, survives the
+   wire, and a bad script is refused when it is decoded. *)
+let test_script_spec () =
+  let spec = Spec.script ~manager:"first-fit" "a x 16; a y 8; f x; a z 4" in
+  Alcotest.(check (pair int int)) "m, n from the script" (24, 16)
+    (spec.Spec.m, spec.Spec.n);
+  let wire s = Spec.of_json (Json.of_string (Json.to_string (Spec.to_json s))) in
+  Alcotest.(check bool) "round-trips" true (Spec.equal spec (wire spec));
+  let o = Engine.outcome_exn (Engine.execute spec) in
+  Alcotest.(check (pair int int)) "hs, final live" (24, 12) (o.hs, o.final_live);
+  let bad = { spec with workload = Spec.Script { text = "a x 16; f y" } } in
+  Alcotest.(check bool) "bad script refused by of_json" true
+    (match wire bad with _ -> false | exception Spec.Bad_spec _ -> true);
+  let submit =
+    Pc_serve.Protocol.Submit { tenant = "t"; specs = [ bad ]; retries = 0 }
+  in
+  match
+    Pc_serve.Protocol.(request_of_string (request_to_string submit))
+  with
+  | Error msg ->
+      Alcotest.(check bool) ("refused: " ^ msg) true
+        (String.starts_with ~prefix:"bad spec: bad script" msg)
+  | Ok _ -> Alcotest.fail "a submit with a bad script was accepted"
+
 let () =
   Alcotest.run "sweep engine"
     [
@@ -212,5 +236,6 @@ let () =
         [
           Alcotest.test_case "spec json round trip" `Quick
             test_spec_json_round_trip;
+          Alcotest.test_case "script specs" `Quick test_script_spec;
         ] );
     ]

@@ -266,6 +266,23 @@ let test_overhead_smoke () =
     true
     (summary <= (off *. 5.0) +. 0.05)
 
+(* Counters are bumped from every worker domain: a parallel sweep must
+   count exactly what a serial one does. *)
+let test_counters_exact_in_parallel () =
+  let specs =
+    List.map
+      (fun c -> Pc_exec.Spec.pf ~c ~manager:"compacting" ~m:16384 ~n:64 ())
+      [ 8.; 16.; 32.; 64. ]
+  in
+  let allocs_at jobs =
+    with_level T.Sink.Summary (fun () ->
+        ignore (Pc_exec.Engine.run ~jobs specs);
+        T.Counter.value (T.Registry.counter "heap.allocs"))
+  in
+  let serial = allocs_at 1 in
+  Alcotest.(check bool) "the sweep allocates" true (serial > 0);
+  Alcotest.(check int) "heap.allocs at -j 2 = at -j 1" serial (allocs_at 2)
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -285,6 +302,8 @@ let () =
         [
           Alcotest.test_case "interning" `Quick test_registry_intern;
           Alcotest.test_case "reset" `Quick test_registry_reset;
+          Alcotest.test_case "counters exact under -j 2" `Quick
+            test_counters_exact_in_parallel;
         ] );
       ( "snapshot",
         [
