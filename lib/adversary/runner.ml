@@ -76,7 +76,7 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
           end)
     end;
     (* Listener order matters: Heap.on_event fires most-recently-added
-       first, and the kernel charges the budget only after every
+       first, and the kernel checks the budget only after every
        listener has seen a move. Attaching the oracle before the trace
        recorder means the recorder runs first on every event — the
        violating event is already recorded when the oracle raises. *)
@@ -136,14 +136,14 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
                   step delta_u floor;
             }
     in
-    (budget, heap, trace, result)
+    (heap, trace, result)
   in
   Log.debug (fun k ->
       k "running %s vs %s (M=%d, c=%s, audit=%a)" (Program.name program)
         (Manager.name manager) m
         (match c with Some c -> Fmt.str "%g" c | None -> "unlimited")
         Pc_audit.Oracle.pp_level audit);
-  let budget, heap, _, result =
+  let heap, _, result =
     T.Span.time exec_span (fun () -> exec ~record:false)
   in
   (match result with
@@ -166,7 +166,7 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
          the violation — a nondeterministic program — the violation
          propagates as-is, without a bundle. *)
       match T.Span.time triage_span (fun () -> exec ~record:true) with
-      | _, _, Some trace, Error v' when v'.Pc_audit.Oracle.oracle = v.oracle ->
+      | _, Some trace, Error v' when v'.Pc_audit.Oracle.oracle = v.oracle ->
           Pc_audit.Report.capture ?dir:failures_dir ~info ~violation:v ~trace
             ()
       | _ -> raise (Pc_audit.Oracle.Violation v)));
@@ -198,7 +198,7 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
     moved = Heap.moved_total heap;
     freed = Heap.freed_total heap;
     final_live = Heap.live_words heap;
-    compliant = Budget.is_compliant budget;
+    compliant = Heap.available heap >= 0;
   }
 
 let pp_outcome ppf o =

@@ -7,8 +7,8 @@ open Pc_heap
    system is supposed to maintain: structural consistency, the
    c-partial budget rule, the live-space bound, and (at the end of a PF
    run) the Theorem 1 floor. The point is independence — the oracle
-   shares no accounting with Budget or the managers, so a bug that
-   skips a debit on one side still trips the other.
+   shares no accounting with the heap's ledger or the managers, so a
+   bug that skips a debit on one side still trips the other.
 
    Cost model: the budget and live-space checks are O(1), driven by
    counters tracked incrementally from the event stream, and run on
@@ -78,8 +78,9 @@ type t = {
   mutable seq : int; (* events seen so far *)
   mutable countdown : int; (* events until the next sampled sweep *)
   (* Cumulative accounting tracked incrementally from the event stream
-     itself — independent of both Budget and the heap's own counters
-     (the sampled sweep cross-checks the latter). *)
+     itself — independent of the heap's own counters, the ledger the
+     kernel enforces the budget over (the sampled sweep cross-checks
+     them). *)
   mutable allocated : int;
   mutable moved : int;
   mutable live : int;

@@ -2,9 +2,9 @@
 
     An oracle subscribes to the heap's event stream and re-derives,
     from the heap's own observable state, the properties the rest of
-    the system is supposed to maintain — independently of the
-    [Budget]/manager accounting, so a bug that skips a debit on one
-    side still trips the other.
+    the system is supposed to maintain — independently of the heap's
+    ledger and the managers' accounting, so a bug that skips a debit
+    on one side still trips the other.
 
     Oracles, by name (the name keys {!violation.oracle}, the [only]
     filter and the repro-bundle replay):

@@ -119,6 +119,15 @@ let write_file_atomic path contents =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
+let write_fully fd buf =
+  let len = Bytes.length buf in
+  let sent = ref 0 in
+  while !sent < len do
+    match Unix.write fd buf !sent (len - !sent) with
+    | n -> sent := !sent + n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done
+
 (* Best-effort provenance: the commit the violation was produced at. *)
 let git_commit () =
   match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
@@ -221,12 +230,6 @@ let capture ?dir ?max_shrink_tests ~info ~violation ~trace () =
 (* ------------------------------------------------------------------ *)
 (* Loading and replaying bundles                                      *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load dir =
   let ( let* ) = Result.bind in
   let fail fmt = Fmt.kstr (fun s -> Error s) fmt in
@@ -239,7 +242,8 @@ let load dir =
       fail "%s: missing meta.txt or trace.txt" dir
     else begin
       let tbl = Hashtbl.create 16 in
-      String.split_on_char '\n' (read_file meta_path)
+      In_channel.with_open_bin meta_path In_channel.input_all
+      |> String.split_on_char '\n'
       |> List.iter (fun line ->
              match String.index_opt line ' ' with
              | Some i ->
@@ -290,7 +294,8 @@ let load dir =
           Result.bind (get "events_full") (int_of "events_full")
         in
         let* events_min = Result.bind (get "events_min") (int_of "events_min") in
-        match Trace.of_string (read_file trace_path) with
+        let text = In_channel.with_open_bin trace_path In_channel.input_all in
+        match Trace.of_string text with
         | exception Failure msg -> fail "%s: %s" dir msg
         | trace ->
             Ok

@@ -41,6 +41,11 @@ val mkdir_p : string -> unit
     result cache, sweep journals, lock files and [pc serve]'s state
     directory use it too. *)
 
+val write_fully : Unix.file_descr -> Bytes.t -> unit
+(** Write all of the buffer to the descriptor, retrying short writes
+    and writes interrupted by a signal ([EINTR]). The sweep journal and
+    [pc serve]'s wire frames use it. *)
+
 val write_file_atomic : string -> string -> unit
 (** [write_file_atomic path contents] writes [contents] to a temp file
     next to [path], named uniquely per process and per call, then

@@ -83,12 +83,6 @@ let outcome_of_json j : Runner.outcome =
 (* ------------------------------------------------------------------ *)
 (* Lookup / store                                                     *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 type lookup =
   | Hit of Runner.outcome
   | Miss
@@ -99,7 +93,7 @@ let lookup ?faults t spec =
   if not (Sys.file_exists path) then Miss
   else begin
     let content =
-      let raw = read_file path in
+      let raw = In_channel.with_open_bin path In_channel.input_all in
       match faults with
       | None -> raw
       | Some f -> (

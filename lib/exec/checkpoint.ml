@@ -165,13 +165,6 @@ let find t spec =
       | Some { key; result } when key = Spec.key spec -> Some result
       | Some _ (* digest collision inside the journal *) | None -> None)
 
-let write_fully fd bytes =
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd bytes !off (len - !off)
-  done
-
 let record t spec result =
   let digest = Spec.digest spec in
   let line = line_of_entry ~digest { key = Spec.key spec; result } in
@@ -179,7 +172,7 @@ let record t spec result =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
-      write_fully t.fd (Bytes.of_string line);
+      Pc_audit.Report.write_fully t.fd (Bytes.of_string line);
       Unix.fsync t.fd;
       Hashtbl.replace t.entries digest { key = Spec.key spec; result })
 

@@ -2,7 +2,9 @@
 
     A c-partial memory manager may, at any point where the program has
     allocated [s] words in total, have moved at most [s/c] words in
-    total. Allocation recharges the budget; moves drain it. *)
+    total. Allocation recharges the budget; moves drain it. A budget
+    is the rule only: the totals it is applied to are the heap's
+    ({!Heap.set_budget}). *)
 
 type t
 
@@ -16,22 +18,11 @@ val unlimited : unit -> t
 
 val is_unlimited : t -> bool
 val c : t -> float
-val moved : t -> int
 
-val quota : t -> int
-(** [⌊allocated / c⌋], the total compaction allowed so far. *)
+val quota : t -> allocated:int -> int
+(** [⌊allocated / c⌋], the total compaction allowed once [allocated]
+    words were allocated; [max_int] when unlimited. *)
 
-val available : t -> int
-(** [quota - moved]. *)
-
-val can_move : t -> int -> bool
-
-val on_alloc : t -> int -> unit
-(** Recharge: record [words] freshly allocated words. *)
-
-val charge_move : t -> int -> unit
-(** Drain: record [words] moved. Raises {!Exceeded} when the move does
-    not fit the remaining quota. *)
-
-val is_compliant : t -> bool
-(** [true] while the c-partial rule has never been violated. *)
+val available : t -> allocated:int -> moved:int -> int
+(** [quota - moved]: negative once [moved] overran the quota;
+    [max_int] when unlimited. *)

@@ -41,7 +41,7 @@ type t = {
   mutable freed_total : int;
   mutable high_water : int;
   mutable listeners : (event -> unit) list;
-  mutable budget : Budget.t; (* recharged by alloc, charged by move *)
+  mutable budget : Budget.t; (* the rule over the two totals above *)
   mutable move_log : int array; (* oid, src, dst, size per move *)
   mutable logged : int; (* ints used in [move_log]; -1 while off *)
 }
@@ -81,6 +81,12 @@ let alloc_size_h = T.Registry.histogram "heap.alloc_size"
 let on_event t f = t.listeners <- f :: t.listeners
 let[@inline] has_listeners t = t.listeners != []
 let set_budget t b = t.budget <- b
+let budget t = t.budget
+
+let available t =
+  Budget.available t.budget ~allocated:t.allocated_total ~moved:t.moved_total
+
+let can_move t words = words <= available t
 
 (* The move log: four ints a move, appended while it is on. The Driver
    resets it when a request starts, so it holds one request's moves. *)
@@ -168,7 +174,6 @@ let alloc t ~addr ~size =
   bump_high_water t (addr + size);
   let oid = Oid.of_int oid in
   if has_listeners t then emit t (Alloc { oid; addr; size });
-  Budget.on_alloc t.budget size;
   if !T.Sink.active then begin
     T.Counter.incr allocs_c;
     T.Counter.add alloc_words_c size;
@@ -193,9 +198,10 @@ let free t oid =
   if has_listeners t then emit t (Free { oid; addr; size })
 
 (* A move to the object's own address is no move: no event, no
-   [moved_total], and no [heap.moves] count. The budget is charged
+   [moved_total], and no [heap.moves] count. The budget is checked
    after the event goes out, so a listener (the oracle, a recorder)
-   sees an over-budget move before [Budget.Exceeded] is raised. *)
+   sees an over-budget move before [Budget.Exceeded] is raised; the
+   move stays done and on the ledger. *)
 let move t oid ~dst =
   let i = live_oid t oid in
   let src = addr_of t i in
@@ -224,7 +230,9 @@ let move t oid ~dst =
     end;
     if has_listeners t then emit t (Move { oid; size; src; dst });
     if t.logged >= 0 then log_move t i src dst size;
-    Budget.charge_move t.budget size
+    let left = available t in
+    if left < 0 then
+      raise (Budget.Exceeded { requested = size; available = left + size })
   end
 
 (* [iter_live]/[fold_live] visit a snapshot taken up front, so the

@@ -9,16 +9,27 @@
 
     Beyond {!Heap_intf.HEAP}, the kernel carries the c-partial budget
     and a move log, so an untraced run needs no listener at all: the
-    budget is fed by [alloc] and [move] themselves, and the driver
-    reads a request's moves from the log. *)
+    budget rule is applied to the heap's own [allocated_total] and
+    [moved_total], and the driver reads a request's moves from the
+    log. *)
 
 include Heap_intf.HEAP with type free_index = Free_index.t
 
 val set_budget : t -> Budget.t -> unit
-(** The budget this heap feeds: [alloc] recharges it and [move] charges
-    it, raising {!Budget.Exceeded} on an over-budget move after the
-    move's event has reached the listeners. A fresh heap feeds its own
+(** The budget rule this heap enforces over its [allocated_total] and
+    [moved_total]: [move] raises {!Budget.Exceeded} on an over-budget
+    move, after the move's event has reached the listeners (the move
+    stays done and counted). A fresh heap enforces
     {!Budget.unlimited}. *)
+
+val budget : t -> Budget.t
+
+val available : t -> int
+(** Words the budget still lets the manager move:
+    [Budget.available] over the heap's totals. *)
+
+val can_move : t -> int -> bool
+(** [can_move t words] iff [words <= available t]. *)
 
 val has_listeners : t -> bool
 (** [true] once anything subscribed with [on_event]. *)

@@ -17,17 +17,16 @@ let make () =
     let heap = Ctx.heap ctx in
     let free = Ctx.free_index ctx in
     let limit =
-      let c = Budget.c (Ctx.budget ctx) in
+      let budget = Heap.budget heap in
       let m = Ctx.live_bound ctx in
       (* With an unlimited budget, compact whenever the arena would
          exceed 2M — the c -> 1 limit of the (c+1)M scheme. *)
-      if Budget.is_unlimited (Ctx.budget ctx) then 2 * m
-      else int_of_float (Float.of_int m *. (c +. 1.0))
+      if Budget.is_unlimited budget then 2 * m
+      else int_of_float (Float.of_int m *. (Budget.c budget +. 1.0))
     in
     let bump = Free_index.frontier free in
     if bump + size <= limit then bump
-    else if not (Budget.can_move (Ctx.budget ctx) (Heap.live_words heap))
-    then bump (* degrade gracefully rather than break the c-partial rule *)
+    else if not (Heap.can_move heap (Heap.live_words heap)) then bump (* degrade gracefully rather than break the c-partial rule *)
     else begin
       (* Slide every live object down, in address order; destinations
          never pass sources so each move lands in free space. *)

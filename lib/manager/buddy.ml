@@ -24,8 +24,7 @@ let overlaps_padding state ~start ~stop =
   | None -> false
 
 let make () =
-  let state = { padding = Int_map.empty; by_base = Hashtbl.create 64 } in
-  let alloc ctx ~size =
+  let alloc state ctx ~size =
     let bs = Word.round_up_pow2 size in
     let free = Ctx.free_index ctx in
     let rec search from =
@@ -55,15 +54,16 @@ let make () =
     end;
     base
   in
-  let on_free _ctx (o : Heap.obj) =
+  let on_free state _ctx (o : Heap.obj) =
     match Hashtbl.find_opt state.by_base o.addr with
     | Some pstart ->
         state.padding <- Int_map.remove pstart state.padding;
         Hashtbl.remove state.by_base o.addr
     | None -> ()
   in
-  Manager.make ~name:"buddy"
+  Manager.stateful ~name:"buddy"
     ~description:
       "non-moving; binary buddy: whole power-of-two blocks at \
        block-aligned addresses"
+    ~init:(fun _ -> { padding = Int_map.empty; by_base = Hashtbl.create 64 })
     ~on_free alloc

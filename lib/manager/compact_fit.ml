@@ -33,7 +33,6 @@ let highest_used_slot (p : Pages.page) =
    budget runs dry, leaving the class dirty for a later attempt. *)
 let repair grid dirty ctx class_ =
   let heap = Ctx.heap ctx in
-  let budget = Ctx.budget ctx in
   let slot_words = Pages.slot_size class_ in
   let dry = ref false in
   while (not !dry) && Pages.avail_count grid class_ > 1 do
@@ -49,7 +48,7 @@ let repair grid dirty ctx class_ =
       | [ obj ] -> obj
       | _ -> invalid_arg "Compact_fit: donor slot out of sync"
     in
-    if not (Budget.can_move budget migrant.size) then dry := true
+    if not (Heap.can_move heap migrant.size) then dry := true
     else begin
       Heap.move heap migrant.oid ~dst:(Pages.take_slot grid dst);
       ignore (Pages.vacate grid src j)
@@ -58,22 +57,24 @@ let repair grid dirty ctx class_ =
   if Pages.avail_count grid class_ <= 1 then dirty.(class_) <- false
 
 let make ?(page_words = 1 lsl 6) () =
-  let grid = Pages.create ~page_words in
-  let dirty = Array.make Pages.max_class false (* class -> > 1 partial *) in
-  let alloc ctx ~size =
+  let init _ =
+    ( Pages.create ~page_words,
+      Array.make Pages.max_class false (* class -> > 1 partial *) )
+  in
+  let alloc (grid, dirty) ctx ~size =
     for class_ = 0 to Pages.max_class - 1 do
       if dirty.(class_) then repair grid dirty ctx class_
     done;
     Pages.alloc grid ctx ~size ~at_tail:(fun _ tail -> tail)
   in
-  let on_free _ctx o =
+  let on_free (grid, dirty) _ctx o =
     match Pages.release grid o with
     | Some p when Pages.avail_count grid p.class_ > 1 ->
         dirty.(p.class_) <- true
     | _ -> ()
   in
-  Manager.make ~name:"compact-fit"
+  Manager.stateful ~name:"compact-fit"
     ~description:
       "c-partial; Compact-fit size-class pages: plug moves keep at most one \
        partial page per class"
-    ~on_free alloc
+    ~init ~on_free alloc

@@ -6,7 +6,6 @@
     serving an allocation. When the c-partial budget cannot pay, the
     invariant lapses gracefully until the budget recharges.
 
-    Stateful — construct one manager per execution. [page_words] must
-    be a power of two (default [2{^6}]). *)
+    [page_words] must be a power of two (default [2{^6}]). *)
 
 val make : ?page_words:int -> unit -> Manager.t

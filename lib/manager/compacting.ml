@@ -22,7 +22,7 @@ let max_attempts = 3
 let min_window = 64
 
 let make () =
-  let alloc ctx ~size =
+  let alloc evict ctx ~size =
     let free = Ctx.free_index ctx in
     match Free_index.first_fit free ~size with
     | Free_index.Gap a -> a
@@ -33,7 +33,7 @@ let make () =
           let window = max (Word.round_up_pow2 size) min_window in
           let move_cap = int_of_float (move_cap_factor *. float window) in
           match
-            Evict.try_evict ctx ~size:window ~align:window ~move_cap
+            Evict.try_evict evict ctx ~size:window ~align:window ~move_cap
               ~max_attempts
           with
           | Some a -> a
@@ -43,8 +43,9 @@ let make () =
               Free_index.frontier free
         end
   in
-  Manager.make ~name:"compacting"
+  Manager.stateful ~name:"compacting"
     ~description:
       "c-partial; first fit, clearing the cheapest aligned window under \
        budget when the heap would otherwise grow"
+    ~init:(fun _ -> Evict.create ())
     alloc

@@ -90,7 +90,7 @@ let resize state ctx class_ =
   let slot = Pages.slot_size class_ in
   let old = state.arenas.(class_) in
   let cost = state.live.(class_) in
-  if not (Budget.can_move (Ctx.budget ctx) cost) then None
+  if not (Heap.can_move heap cost) then None
   else begin
     let cap =
       match old with
@@ -132,61 +132,60 @@ let check_costs state heap =
              class_ state.live.(class_) cost))
     state.arenas
 
-let of_state state =
-  let alloc ctx ~size =
-    let class_ = Word.log2_ceil (max 1 size) in
-    let arena =
-      match state.arenas.(class_) with
-      | Some a when not (Pages.is_full a) -> Some a
-      | _ -> resize state ctx class_
-    in
-    match arena with
-    | Some a ->
-        let slot = Pages.find_free_slot a in
-        Pages.set_slot a slot;
-        state.live.(class_) <- state.live.(class_) + size;
-        a.base + (slot * Pages.slot_size class_)
-    | None ->
-        (* Resize postponed: overflow outside every bucket; no
-           bookkeeping — the extent dies with the object. *)
-        let free = Ctx.free_index ctx in
-        let rec in_gaps from =
-          match Free_index.first_fit_from free ~from ~size with
-          | None -> None
-          | Some a -> (
-              match overlapping state a size with
-              | None -> Some a
-              | Some stop -> in_gaps stop)
-        in
-        let rec at_tail a =
-          match overlapping state a size with
-          | None -> a
-          | Some stop -> at_tail stop
-        in
-        (match in_gaps 0 with
-        | Some a -> a
-        | None -> at_tail (Free_index.frontier free))
-  in
-  let on_free _ctx (o : Heap.obj) =
-    let class_ = Word.log2_ceil (max 1 o.size) in
+let alloc state ctx ~size =
+  let class_ = Word.log2_ceil (max 1 size) in
+  let arena =
     match state.arenas.(class_) with
-    | Some a
-      when o.addr >= a.base
-           && o.addr < a.base + arena_words a
-           && (o.addr - a.base) mod Pages.slot_size class_ = 0 ->
-        let slot = (o.addr - a.base) / Pages.slot_size class_ in
-        (* Drop empty buckets: the class restarts at init capacity,
-           the resizing-down half of the scheme. *)
-        if Pages.clear_slot a slot then begin
-          state.live.(class_) <- state.live.(class_) - o.size;
-          if a.used = 0 then state.arenas.(class_) <- None
-        end
-    | _ -> () (* overflow object; nothing to track *)
+    | Some a when not (Pages.is_full a) -> Some a
+    | _ -> resize state ctx class_
   in
-  Manager.make ~name:"cost-oblivious"
+  match arena with
+  | Some a ->
+      let slot = Pages.find_free_slot a in
+      Pages.set_slot a slot;
+      state.live.(class_) <- state.live.(class_) + size;
+      a.base + (slot * Pages.slot_size class_)
+  | None -> (
+      (* Resize postponed: overflow outside every bucket; no
+         bookkeeping — the extent dies with the object. *)
+      let free = Ctx.free_index ctx in
+      let rec in_gaps from =
+        match Free_index.first_fit_from free ~from ~size with
+        | None -> None
+        | Some a -> (
+            match overlapping state a size with
+            | None -> Some a
+            | Some stop -> in_gaps stop)
+      in
+      let rec at_tail a =
+        match overlapping state a size with
+        | None -> a
+        | Some stop -> at_tail stop
+      in
+      match in_gaps 0 with
+      | Some a -> a
+      | None -> at_tail (Free_index.frontier free))
+
+let on_free state _ctx (o : Heap.obj) =
+  let class_ = Word.log2_ceil (max 1 o.size) in
+  match state.arenas.(class_) with
+  | Some a
+    when o.addr >= a.base
+         && o.addr < a.base + arena_words a
+         && (o.addr - a.base) mod Pages.slot_size class_ = 0 ->
+      let slot = (o.addr - a.base) / Pages.slot_size class_ in
+      (* Drop empty buckets: the class restarts at init capacity, the
+         resizing-down half of the scheme. *)
+      if Pages.clear_slot a slot then begin
+        state.live.(class_) <- state.live.(class_) - o.size;
+        if a.used = 0 then state.arenas.(class_) <- None
+      end
+  | _ -> () (* overflow object; nothing to track *)
+
+let make ?(init_slots = 4) () =
+  Manager.stateful ~name:"cost-oblivious"
     ~description:
       "c-partial; cost-oblivious resizing buckets: doubling size-class \
        arenas, migrations paid by allocation volume"
+    ~init:(fun _ -> create_state ~init_slots)
     ~on_free alloc
-
-let make ?(init_slots = 4) () = of_state (create_state ~init_slots)

@@ -4,8 +4,8 @@
     by the allocation volume recharged into the c-partial budget, and
     postponed resizes overflow outside every bucket.
 
-    Stateful — construct one manager per execution. [init_slots] is
-    the capacity a class starts (and restarts) with (default 4). *)
+    [init_slots] is the capacity a class starts (and restarts) with
+    (default 4). *)
 
 val make : ?init_slots:int -> unit -> Manager.t
 
@@ -14,7 +14,12 @@ val make : ?init_slots:int -> unit -> Manager.t
 type state
 
 val create_state : init_slots:int -> state
-val of_state : state -> Manager.t
+
+val alloc : state -> Ctx.t -> size:int -> int
+val on_free : state -> Ctx.t -> Pc_heap.Heap.obj -> unit
+(** [make]'s request handlers: [make] is
+    [Manager.stateful ~init:(fun _ -> create_state ~init_slots) ~on_free
+    alloc]. *)
 
 val check_costs : state -> Pc_heap.Heap.t -> unit
 (** Raises [Failure] unless every class's memoised bucket cost (the

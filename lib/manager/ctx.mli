@@ -1,45 +1,22 @@
 (** The execution context a memory manager operates in.
 
-    Bundles the heap, the c-partial compaction budget, and the
-    program's declared live-space bound [M]. Budget accounting is wired
-    into the heap kernel ({!Pc_heap.Heap.set_budget}): [Heap.alloc]
-    recharges the budget and [Heap.move] drains it, raising
+    Holds the heap, which enforces the c-partial compaction budget over
+    its own [allocated_total] and [moved_total]
+    ({!Pc_heap.Heap.set_budget}: [Heap.move] raises
     [Pc_heap.Budget.Exceeded] when a manager compacts beyond its
-    quota. No event listener is attached. *)
+    quota), and the program's declared live-space bound [M]. One
+    context serves one execution: {!Manager.stateful} keys a manager's
+    per-execution state by it. *)
 
-type candidate = { window_start : int; cost : int }
-(** An aligned window and the total size of the objects it
-    intersects (see {!Evict}). *)
-
-(** Evict's last window scan, reused while
-    {!Pc_heap.Free_index.epoch}, the window size and the alignment
-    match. *)
-type window_scan = {
-  mutable epoch : int;  (** [-1] until the first scan *)
-  mutable size : int;
-  mutable align : int;
-  mutable costed : candidate list;
-      (** windows below the frontier, ordered by (cost, start) *)
-  mutable pending : int list;
-      (** window starts not yet below the frontier, ascending *)
-}
-
-type t = {
-  heap : Pc_heap.Heap.t;
-  budget : Pc_heap.Budget.t;
-  live_bound : int;  (** the paper's [M], in words *)
-  mutable scratch : int array;
-      (** generation-stamped planner scratch; a slot is marked iff it
-          holds [scratch_gen] *)
-  mutable scratch_gen : int;
-  windows : window_scan;
-}
+type t
 
 val create : ?budget:Pc_heap.Budget.t -> live_bound:int -> unit -> t
-(** Fresh heap that feeds [budget], which defaults to
+(** Fresh heap that enforces [budget], which defaults to
     {!Pc_heap.Budget.unlimited}. *)
 
 val heap : t -> Pc_heap.Heap.t
-val budget : t -> Pc_heap.Budget.t
+
 val live_bound : t -> int
+(** The paper's [M], in words. *)
+
 val free_index : t -> Pc_heap.Free_index.t

@@ -13,14 +13,40 @@ open Pc_heap
    than from a scan of all live objects: a window that is cheap to
    clear is mostly free, so it overlaps one of the big gaps. This
    keeps each scan at O(gaps_scanned * log live) instead of O(live), and
-   the scan is kept in the context and reused until the free index's
-   epoch moves (see [candidates_capped]). *)
+   the scan is kept in an [Evict.t], one per execution, and reused until
+   the free index's epoch moves (see [candidates_capped]). *)
 
 let src = Logs.Src.create "pc.evict" ~doc:"window eviction decisions"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type candidate = Ctx.candidate = { window_start : int; cost : int }
+type candidate = { window_start : int; cost : int }
+
+(* The last window scan, valid while the free index's epoch, the
+   window size and the alignment are the ones it was made for, and the
+   generation-stamped dedup scratch it was made with: a slot is marked
+   iff it holds the current generation, so clearing between scans is a
+   single counter bump. *)
+type t = {
+  mutable epoch : int; (* -1 until the first scan *)
+  mutable size : int;
+  mutable align : int;
+  mutable costed : candidate list; (* below the frontier, by (cost, start) *)
+  mutable pending : int list; (* starts not yet below the frontier, ascending *)
+  mutable seen : int array;
+  mutable gen : int;
+}
+
+let create () =
+  {
+    epoch = -1;
+    size = 0;
+    align = 0;
+    costed = [];
+    pending = [];
+    seen = [||];
+    gen = 0;
+  }
 
 (* Telemetry: how much window-scanning the compacting managers do and
    how often it pays off. The window-cost distribution is only
@@ -64,7 +90,7 @@ let cost_window heap ~size start =
 (* Scan the [align]-aligned windows around the [gaps_scanned] largest
    gaps afresh: cost the ones wholly below the frontier, and keep the
    others (near the frontier) pending. *)
-let rescan ctx (ws : Ctx.window_scan) ~size ~align =
+let rescan ws ctx ~size ~align =
   let heap = Ctx.heap ctx in
   let free = Ctx.free_index ctx in
   let frontier = Free_index.frontier free in
@@ -72,12 +98,11 @@ let rescan ctx (ws : Ctx.window_scan) ~size ~align =
   (* The same few windows surface from many gaps; an O(1)
      generation-stamped dedup beats rescanning the candidate list on
      every hit. *)
-  let gen = ctx.Ctx.scratch_gen + 1 in
-  ctx.Ctx.scratch_gen <- gen;
+  let gen = ws.gen + 1 in
+  ws.gen <- gen;
   let need = (frontier / align) + 2 in
-  if Array.length ctx.Ctx.scratch < need then
-    ctx.Ctx.scratch <- Array.make (max need 1024) 0;
-  let seen = ctx.Ctx.scratch in
+  if Array.length ws.seen < need then ws.seen <- Array.make (max need 1024) 0;
+  let seen = ws.seen in
   let consider w =
     if w >= 0 && Array.unsafe_get seen w <> gen then begin
       Array.unsafe_set seen w gen;
@@ -116,7 +141,7 @@ let rescan ctx (ws : Ctx.window_scan) ~size ~align =
 
 (* Same epoch: the frontier can only have grown. Cost the pending
    windows it has passed and merge them in. *)
-let admit ctx (ws : Ctx.window_scan) =
+let admit ws ctx =
   let frontier = Free_index.frontier (Ctx.free_index ctx) in
   match ws.pending with
   | s :: _ when s + ws.size <= frontier ->
@@ -141,7 +166,7 @@ let rec within_cap cap = function
 
    This runs on every heap-growing allocation of the compacting
    managers, while the gaps seldom change between two of them. So the
-   scan is kept in [Ctx] under the free index's epoch: within one
+   scan is kept in [ws] under the free index's epoch: within one
    epoch the only mutation is tail growth, which leaves the gap set,
    hence the window set, alone and touches no word below the old
    frontier, so every window already costed keeps its cost; a window
@@ -149,20 +174,19 @@ let rec within_cap cap = function
    list is sorted by (cost, start), a total order, so the cap filter is
    a prefix and the result equals a fresh scan's, filtered then
    sorted. *)
-let candidates_capped ~cost_cap ctx ~size ~align =
-  let ws = ctx.Ctx.windows in
+let candidates_capped ~cost_cap ws ctx ~size ~align =
   if
     ws.epoch = Free_index.epoch (Ctx.free_index ctx)
     && ws.size = size && ws.align = align
   then begin
     T.Counter.incr scan_hits_c;
-    admit ctx ws
+    admit ws ctx
   end
-  else rescan ctx ws ~size ~align;
+  else rescan ws ctx ~size ~align;
   within_cap cost_cap ws.costed
 
-let window_candidates ctx ~size ~align =
-  candidates_capped ~cost_cap:max_int ctx ~size ~align
+let window_candidates ws ctx ~size ~align =
+  candidates_capped ~cost_cap:max_int ws ctx ~size ~align
 
 (* Default relocation target: lowest-addressed existing gap that does
    not overlap the window being cleared. *)
@@ -186,14 +210,14 @@ type decline = No_candidate | Relocation | Budget_spent | Attempts
    cannot pay for fails the attempt. *)
 let clear_window ctx ~relocate ~size start =
   T.Counter.incr attempts_c;
-  let heap = Ctx.heap ctx and budget = Ctx.budget ctx in
+  let heap = Ctx.heap ctx in
   let avoid = Interval.of_extent ~start ~len:size in
   let rec relocate_all = function
     | [] -> Ok start
     | (o : Heap.obj) :: rest -> (
         match relocate ctx ~avoid o with
         | None -> Error Relocation
-        | Some _ when o.size > Budget.available budget -> Error Budget_spent
+        | Some _ when not (Heap.can_move heap o.size) -> Error Budget_spent
         | Some dst ->
             Heap.move heap o.oid ~dst;
             T.Counter.add evicted_words_c o.size;
@@ -215,11 +239,11 @@ let rec first_cleared ctx ~relocate ~size attempts last = function
 
 (* Clear one window and return its start address, or [None] when no
    candidate window can be cleared within [move_cap] words of budget. *)
-let try_evict ?(max_attempts = 3) ?(relocate = relocate_first_fit) ctx ~size
-    ~align ~move_cap =
-  let budget = Ctx.budget ctx in
-  let cap = min move_cap (Budget.available budget) in
-  let candidates = candidates_capped ~cost_cap:cap ctx ~size ~align in
+let try_evict ?(max_attempts = 3) ?(relocate = relocate_first_fit) ws ctx
+    ~size ~align ~move_cap =
+  let heap = Ctx.heap ctx in
+  let cap = min move_cap (Heap.available heap) in
+  let candidates = candidates_capped ~cost_cap:cap ws ctx ~size ~align in
   match
     first_cleared ctx ~relocate ~size max_attempts No_candidate candidates
   with
@@ -227,7 +251,7 @@ let try_evict ?(max_attempts = 3) ?(relocate = relocate_first_fit) ctx ~size
       T.Counter.incr cleared_c;
       Log.debug (fun k ->
           k "cleared window [%d,%d) (budget left %d)" a (a + size)
-            (Budget.available budget));
+            (Heap.available heap));
       Some a
   | Error why ->
       T.Counter.incr

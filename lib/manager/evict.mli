@@ -4,20 +4,28 @@
     intersecting it, paid from the compaction budget — the reuse cost
     at the heart of the paper's lower-bound argument. Candidate
     windows are discovered around the 64 largest gaps, keeping each
-    scan at [O(64 · log live)]; the scan is kept in the {!Ctx} and
-    reused while {!Pc_heap.Free_index.epoch} stands still. *)
+    scan at [O(64 · log live)]; the scan is kept in a {!t} and reused
+    while {!Pc_heap.Free_index.epoch} stands still. *)
 
-type candidate = Ctx.candidate = { window_start : int; cost : int }
+type candidate = { window_start : int; cost : int }
+(** An aligned window and the total size of the objects it
+    intersects. *)
+
+type t
+(** A manager's last window scan. It belongs to one execution: keep it
+    in the manager's {!Manager.stateful} state. *)
+
+val create : unit -> t
 
 val window_cost : Pc_heap.Heap.t -> start:int -> size:int -> int
 (** Total size of the live objects intersecting the window
     (straddlers count fully — they must be moved whole). *)
 
-val window_candidates : Ctx.t -> size:int -> align:int -> candidate list
+val window_candidates : t -> Ctx.t -> size:int -> align:int -> candidate list
 (** Candidate aligned windows below the frontier, cheapest first (ties:
     lowest start), discovered around the 64 largest gaps. Reuses the
-    context's last scan when the free index's epoch, [size] and [align]
-    match it; the result is the same as a fresh scan's. *)
+    last scan when the free index's epoch, [size] and [align] match
+    it; the result is the same as a fresh scan's. *)
 
 val relocate_first_fit :
   Ctx.t -> avoid:Pc_heap.Interval.t -> Pc_heap.Heap.obj -> int option
@@ -28,6 +36,7 @@ val try_evict :
   ?max_attempts:int ->
   ?relocate:
     (Ctx.t -> avoid:Pc_heap.Interval.t -> Pc_heap.Heap.obj -> int option) ->
+  t ->
   Ctx.t ->
   size:int ->
   align:int ->

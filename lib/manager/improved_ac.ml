@@ -38,7 +38,7 @@ let make () =
           ~size:o.size ~align
     | None -> None
   in
-  let alloc ctx ~size =
+  let alloc evict ctx ~size =
     let free = Ctx.free_index ctx in
     let align = Word.round_up_pow2 size in
     match Free_index.first_aligned_fit free ~size ~align with
@@ -48,21 +48,22 @@ let make () =
         if tail + size <= Heap.high_water heap then tail
         else begin
           let window = max align min_window in
-          let c = Budget.c (Ctx.budget ctx) in
+          let budget = Heap.budget heap in
           let move_cap =
-            if Budget.is_unlimited (Ctx.budget ctx) then window
-            else int_of_float (theta *. float window /. c)
+            if Budget.is_unlimited budget then window
+            else int_of_float (theta *. float window /. Budget.c budget)
           in
           match
-            Evict.try_evict ctx ~size:window ~align:window ~move_cap
+            Evict.try_evict evict ctx ~size:window ~align:window ~move_cap
               ~max_attempts ~relocate
           with
           | Some a -> a
           | None -> Word.align_up (Free_index.frontier free) ~align
         end
   in
-  Manager.make ~name:"improved-ac"
+  Manager.stateful ~name:"improved-ac"
     ~description:
       "c-partial; Theorem-2-inspired: aligned placement plus eviction of \
        sparse aligned windows"
+    ~init:(fun _ -> Evict.create ())
     alloc

@@ -18,6 +18,23 @@ let no_free_hook _ _ = ()
 let make ~name ?(description = "") ?(on_free = no_free_hook) alloc =
   { name; description; alloc; on_free }
 
+(* The state of the execution the last request came from. A context
+   lives for one execution, so a request with another context starts
+   a new one: the state cannot leak from one execution into the next,
+   whoever runs them. *)
+let stateful ~name ?description ~init ?on_free alloc =
+  let current = ref None in
+  let state ctx =
+    match !current with
+    | Some (ctx', s) when ctx' == ctx -> s
+    | _ ->
+        let s = init ctx in
+        current := Some (ctx, s);
+        s
+  in
+  let on_free = Option.map (fun f ctx o -> f (state ctx) ctx o) on_free in
+  make ~name ?description ?on_free (fun ctx ~size -> alloc (state ctx) ctx ~size)
+
 let name t = t.name
 let description t = t.description
 let alloc t ctx ~size = t.alloc ctx ~size

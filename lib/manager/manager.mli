@@ -17,6 +17,19 @@ val make :
 (** [on_free] is invoked by the runner after the program frees an
     object, so managers with internal indexes can stay in sync. *)
 
+val stateful :
+  name:string ->
+  ?description:string ->
+  init:(Ctx.t -> 's) ->
+  ?on_free:('s -> Ctx.t -> Pc_heap.Heap.obj -> unit) ->
+  ('s -> Ctx.t -> size:int -> int) ->
+  t
+(** A manager with per-execution state: [init ctx] builds the state on
+    an execution's first request (allocation or free), and builds it
+    afresh whenever a request arrives with a different context, so one
+    instance can serve any number of executions, one after another.
+    The only place a manager keeps state across requests. *)
+
 val name : t -> string
 val description : t -> string
 

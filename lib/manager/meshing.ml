@@ -57,7 +57,6 @@ let mesh grid ctx (src : Pages.page) (dst : Pages.page) =
    paired, keeping the search bounded and deterministic. *)
 let try_mesh grid ctx =
   let heap = Ctx.heap ctx in
-  let budget = Ctx.budget ctx in
   let by_class = Array.make Pages.max_class [] in
   Pages.fold
     (fun (p : Pages.page) () -> by_class.(p.class_) <- p :: by_class.(p.class_))
@@ -83,7 +82,7 @@ let try_mesh grid ctx =
                 | dst :: rest' ->
                     if
                       bitmaps_disjoint src dst
-                      && Budget.can_move budget
+                      && Heap.can_move heap
                            (Evict.window_cost heap ~start:src.base
                               ~size:(Pages.page_words grid))
                     then result := Some (mesh grid ctx src dst)
@@ -96,18 +95,18 @@ let try_mesh grid ctx =
   done;
   !result
 
+(* A fresh page that would land at the tail: keep it there if it
+   stays under the high-water mark, and otherwise take a cell released
+   by meshing — growing only as the last resort. *)
+let at_tail grid ctx tail =
+  if tail + Pages.page_words grid <= Heap.high_water (Ctx.heap ctx) then tail
+  else match try_mesh grid ctx with Some cell -> cell | None -> tail
+
 let make ?(page_words = 1 lsl 6) () =
-  let grid = Pages.create ~page_words in
-  (* A fresh page that would land at the tail: keep it there if it
-     stays under the high-water mark, and otherwise take a cell
-     released by meshing — growing only as the last resort. *)
-  let at_tail ctx tail =
-    if tail + page_words <= Heap.high_water (Ctx.heap ctx) then tail
-    else match try_mesh grid ctx with Some cell -> cell | None -> tail
-  in
-  Manager.make ~name:"meshing"
+  Manager.stateful ~name:"meshing"
     ~description:
       "c-partial; Mesh-style size-class pages, merged when occupancy bitmaps \
        are disjoint (no intra-page moves)"
-    ~on_free:(fun _ctx o -> ignore (Pages.release grid o))
-    (fun ctx ~size -> Pages.alloc grid ctx ~size ~at_tail)
+    ~init:(fun _ -> Pages.create ~page_words)
+    ~on_free:(fun grid _ctx o -> ignore (Pages.release grid o))
+    (fun grid ctx ~size -> Pages.alloc grid ctx ~size ~at_tail:(at_tail grid))

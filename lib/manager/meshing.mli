@@ -6,7 +6,6 @@
     class are considered for pairing. Merges charge the c-partial
     budget exactly [Evict.window_cost] of the source page.
 
-    Stateful — construct one manager per execution. [page_words] must
-    be a power of two (default [2{^6}]). *)
+    [page_words] must be a power of two (default [2{^6}]). *)
 
 val make : ?page_words:int -> unit -> Manager.t

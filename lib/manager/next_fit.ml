@@ -4,8 +4,7 @@ open Pc_heap
    previous allocation, wrapping around to the bottom of the heap. *)
 
 let make () =
-  let rover = ref 0 in
-  let alloc ctx ~size =
+  let alloc rover ctx ~size =
     let free = Ctx.free_index ctx in
     let addr =
       match Free_index.first_fit_from free ~from:!rover ~size with
@@ -18,5 +17,7 @@ let make () =
     rover := addr + size;
     addr
   in
-  Manager.make ~name:"next-fit"
-    ~description:"non-moving; first fit from a roving pointer" alloc
+  Manager.stateful ~name:"next-fit"
+    ~description:"non-moving; first fit from a roving pointer"
+    ~init:(fun _ -> ref 0)
+    alloc

@@ -1,4 +1,3 @@
-(** Next fit: first fit resuming from a roving pointer (non-moving).
-    Stateful — construct one manager per execution. *)
+(** Next fit: first fit resuming from a roving pointer (non-moving). *)
 
 val make : unit -> Manager.t

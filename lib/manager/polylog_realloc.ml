@@ -1,7 +1,7 @@
 open Pc_heap
 
-(* Polylogarithmic-overhead reallocation (Jin, "Optimal resizable
-   arrays and reallocation-limited allocation", arXiv 2602.15417;
+(* Polylogarithmic-overhead reallocation (Jin, "Memory Reallocation
+   with Polylogarithmic Overhead", arXiv 2602.15417;
    Farach-Colton and Sheffield, arXiv 2405.12152), simplified to
    power-of-two epochs. The full algorithms maintain a recursive
    partition of the address space and rebuild geometrically larger
@@ -25,31 +25,32 @@ open Pc_heap
    Doubling epochs mean O(log(s / M)) rebuilds over a run — the
    polylog schedule — while each rebuild moves at most the live set. *)
 
+(* Slide each live object, in address order, to its lowest aligned fit
+   below it, until the budget runs dry. *)
+let repack ctx =
+  let heap = Ctx.heap ctx in
+  let free = Ctx.free_index ctx in
+  let dry = ref false in
+  List.iter
+    (fun (o : Heap.obj) ->
+      if not !dry then begin
+        let align = Word.round_up_pow2 o.size in
+        match Free_index.first_aligned_fit_gap free ~size:o.size ~align with
+        | Some a when a < o.addr ->
+            if Heap.can_move heap o.size then Heap.move heap o.oid ~dst:a
+            else dry := true
+        | _ -> ()
+      end)
+    (Heap.live_list heap)
+
 let make ?(first_epoch_factor = 1.0) () =
-  let next_epoch = ref 0 in
-  let repack ctx =
-    let heap = Ctx.heap ctx in
-    let budget = Ctx.budget ctx in
-    let free = Ctx.free_index ctx in
-    let dry = ref false in
-    List.iter
-      (fun (o : Heap.obj) ->
-        if not !dry then begin
-          let align = Word.round_up_pow2 o.size in
-          match Free_index.first_aligned_fit_gap free ~size:o.size ~align with
-          | Some a when a < o.addr ->
-              if Budget.can_move budget o.size then Heap.move heap o.oid ~dst:a
-              else dry := true
-          | _ -> ()
-        end)
-      (Heap.live_list heap)
+  (* The state is the allocation volume at which the next epoch fires. *)
+  let init ctx =
+    ref
+      (max 1 (int_of_float (first_epoch_factor *. float (Ctx.live_bound ctx))))
   in
-  let alloc ctx ~size =
+  let alloc next_epoch ctx ~size =
     let heap = Ctx.heap ctx in
-    if !next_epoch = 0 then
-      next_epoch :=
-        max 1
-          (int_of_float (first_epoch_factor *. float (Ctx.live_bound ctx)));
     if Heap.allocated_total heap >= !next_epoch then begin
       while Heap.allocated_total heap >= !next_epoch do
         next_epoch := !next_epoch * 2
@@ -60,8 +61,8 @@ let make ?(first_epoch_factor = 1.0) () =
     match Free_index.first_aligned_fit (Ctx.free_index ctx) ~size ~align with
     | Free_index.Gap a | Free_index.Tail a -> a
   in
-  Manager.make ~name:"polylog-realloc"
+  Manager.stateful ~name:"polylog-realloc"
     ~description:
       "c-partial; aligned placement repacked at power-of-two epochs of \
        allocation volume"
-    alloc
+    ~init alloc

@@ -3,8 +3,7 @@
     repacks at power-of-two epochs of allocation volume, each repack a
     budget-capped c-partial compaction.
 
-    Stateful — construct one manager per execution. The first epoch
-    fires at [first_epoch_factor * M] allocated words (default 1.0),
-    doubling thereafter. *)
+    The first epoch fires at [first_epoch_factor * M] allocated words
+    (default 1.0), doubling thereafter. *)
 
 val make : ?first_epoch_factor:float -> unit -> Manager.t

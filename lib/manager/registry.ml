@@ -1,6 +1,8 @@
 (* Named manager constructors, for the CLI, benches and examples.
-   Constructors, not managers: several managers are stateful and must
-   be fresh per execution.
+   A manager keeps its per-execution state through [Manager.stateful],
+   so one instance serves any number of executions one after another;
+   executions that run at the same time (sweep workers) construct one
+   instance each.
 
    The registry is extensible: [register] appends an entry and rejects
    duplicate keys loudly — silently shadowing an earlier entry would

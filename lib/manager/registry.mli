@@ -1,6 +1,7 @@
 (** Named manager constructors for the CLI, benches and examples.
-    Constructors rather than values: several managers are stateful and
-    must be fresh per execution. *)
+    One instance serves any number of executions one after another
+    (its per-execution state is {!Manager.stateful}'s); executions
+    that run at the same time construct one instance each. *)
 
 type entry = {
   key : string;

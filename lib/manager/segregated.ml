@@ -5,10 +5,11 @@
    the heap. *)
 
 let make ?(block_words = 1 lsl 10) () =
-  let grid = Pages.create ~page_words:block_words in
-  Manager.make ~name:"segregated"
+  Manager.stateful ~name:"segregated"
     ~description:
       "non-moving; slab-style segregated storage with power-of-two size \
        classes"
-    ~on_free:(fun _ctx o -> ignore (Pages.release grid o))
-    (fun ctx ~size -> Pages.alloc grid ctx ~size ~at_tail:(fun _ tail -> tail))
+    ~init:(fun _ -> Pages.create ~page_words:block_words)
+    ~on_free:(fun grid _ctx o -> ignore (Pages.release grid o))
+    (fun grid ctx ~size ->
+      Pages.alloc grid ctx ~size ~at_tail:(fun _ tail -> tail))

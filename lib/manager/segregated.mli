@@ -2,7 +2,6 @@
     block-aligned blocks dedicated to power-of-two size classes, sliced
     into equal slots; large objects get dedicated block spans.
 
-    Stateful — construct one manager per execution. [block_words] must
-    be a power of two (default [2{^10}]). *)
+    [block_words] must be a power of two (default [2{^10}]). *)
 
 val make : ?block_words:int -> unit -> Manager.t

@@ -21,36 +21,28 @@ open Pc_heap
 type state = { space : int; mutable base : int; mutable bump : int }
 
 let make ?space_words () =
-  let state = ref None in
-  let get_state ctx =
-    match !state with
-    | Some st -> st
-    | None ->
-        let m = Ctx.live_bound ctx in
-        let budget = Ctx.budget ctx in
-        let space =
-          match space_words with
-          | Some s ->
-              if s < m then invalid_arg "Semispace.make: space below M";
-              s
-          | None ->
-              if Budget.is_unlimited budget then 2 * m
-              else int_of_float ((Budget.c budget +. 1.0) *. float m)
-        in
-        let st = { space; base = 0; bump = 0 } in
-        state := Some st;
-        st
+  let init ctx =
+    let m = Ctx.live_bound ctx in
+    let budget = Heap.budget (Ctx.heap ctx) in
+    let space =
+      match space_words with
+      | Some s ->
+          if s < m then invalid_arg "Semispace.make: space below M";
+          s
+      | None ->
+          if Budget.is_unlimited budget then 2 * m
+          else int_of_float ((Budget.c budget +. 1.0) *. float m)
+    in
+    { space; base = 0; bump = 0 }
   in
-  let alloc ctx ~size =
+  let alloc st ctx ~size =
     let heap = Ctx.heap ctx in
-    let budget = Ctx.budget ctx in
-    let st = get_state ctx in
     if st.bump + size <= st.base + st.space then begin
       let a = st.bump in
       st.bump <- st.bump + size;
       a
     end
-    else if not (Budget.can_move budget (Heap.live_words heap)) then
+    else if not (Heap.can_move heap (Heap.live_words heap)) then
       (* cannot afford the flip yet: overflow beyond both spaces *)
       max (Free_index.frontier (Ctx.free_index ctx)) (2 * st.space)
     else begin
@@ -67,8 +59,8 @@ let make ?space_words () =
       !cursor
     end
   in
-  Manager.make ~name:"semispace"
+  Manager.stateful ~name:"semispace"
     ~description:
       "c-partial; two-space copying collector (flip when the from-space \
        fills, if the budget affords it)"
-    alloc
+    ~init alloc

@@ -4,7 +4,6 @@
     arena, the classic price of copying.
 
     [space_words] overrides the per-space size (must be [>= M]);
-    defaults to [(c+1)·M], or [2·M] with an unlimited budget.
-    Stateful — construct one manager per execution. *)
+    defaults to [(c+1)·M], or [2·M] with an unlimited budget. *)
 
 val make : ?space_words:int -> unit -> Manager.t

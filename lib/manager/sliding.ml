@@ -8,16 +8,14 @@ open Pc_heap
    complementing the on-demand partial eviction of [Compacting]. *)
 
 let make ?(period = 2.0) () =
-  let last_compaction = ref 0 in
-  let alloc ctx ~size =
+  let alloc last_compaction ctx ~size =
     let heap = Ctx.heap ctx in
-    let budget = Ctx.budget ctx in
     let threshold =
       int_of_float (period *. float (Ctx.live_bound ctx))
     in
     if
       Heap.allocated_total heap - !last_compaction >= threshold
-      && Budget.can_move budget (Heap.live_words heap)
+      && Heap.can_move heap (Heap.live_words heap)
     then begin
       let cursor = ref 0 in
       Heap.iter_live heap (fun o ->
@@ -28,8 +26,9 @@ let make ?(period = 2.0) () =
     match Free_index.first_fit (Ctx.free_index ctx) ~size with
     | Free_index.Gap a | Free_index.Tail a -> a
   in
-  Manager.make ~name:"sliding"
+  Manager.stateful ~name:"sliding"
     ~description:
       "c-partial; first fit with periodic full sliding compaction \
        (compaction-seldom strategy)"
+    ~init:(fun _ -> ref 0)
     alloc

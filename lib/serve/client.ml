@@ -2,11 +2,11 @@ open Pc_exec
 
 (* Client side of the serve protocol: blocking RPC over a Unix-domain
    socket, plus the submit-with-backoff / wait / results conveniences
-   the CLI and the saturation benchmark are built from.
+   the CLI and perfbench's serve-mixed clients are built from.
 
    Backoff is the engine's [Faults.backoff], with the server's hint as
-   a floor on its base, so a saturation run — many clients hammering
-   one daemon — is reproducible end to end: the k-th retry of the k-th
+   a floor on its base, so a load run — many clients hammering one
+   daemon — is reproducible end to end: the k-th retry of the k-th
    client sleeps the same everywhere. *)
 
 exception Protocol_error of string
@@ -162,7 +162,7 @@ let submit_and_wait ?(seed = 0) ?max_attempts ?poll ?(reconnect_rounds = 40)
   go 0 0
 
 (* ------------------------------------------------------------------ *)
-(* Load generation (CLI `pc load` and the saturation benchmark)       *)
+(* Load generation (CLI `pc load`)                                    *)
 
 type load_report = {
   clients : int;

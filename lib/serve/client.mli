@@ -1,6 +1,6 @@
 (** Client side of the serve protocol: blocking RPC over a Unix-domain
-    socket plus the submit/wait/results conveniences the CLI and the
-    saturation benchmark are built from. *)
+    socket plus the submit/wait/results conveniences the CLI and
+    perfbench's serve-mixed clients are built from. *)
 
 exception Protocol_error of string
 (** The server answered something the request cannot interpret, or
@@ -27,7 +27,7 @@ val submit :
   string * int * bool * int
 (** Submit, sleeping {!Pc_exec.Faults.backoff} (the engine's seeded
     backoff, its base floored by the server's hint) after each
-    [Retry_after], so saturation runs reproduce. Returns
+    [Retry_after], so load runs reproduce. Returns
     [(id, total, known, backoff_rounds)]. Raises {!Protocol_error}
     on [Refused] or after [max_attempts] (default 50) rounds. *)
 

@@ -33,15 +33,6 @@ let read_exactly fd buf off len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let write_fully fd buf =
-  let len = Bytes.length buf in
-  let sent = ref 0 in
-  while !sent < len do
-    match Unix.write fd buf !sent (len - !sent) with
-    | n -> sent := !sent + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
 let rec read_some fd buf =
   match Unix.read fd buf 0 4 with
   | n -> n
@@ -74,4 +65,4 @@ let send fd s =
   Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xff));
   Bytes.set buf 3 (Char.chr (len land 0xff));
   Bytes.blit_string s 0 buf 4 len;
-  write_fully fd buf
+  Pc_audit.Report.write_fully fd buf

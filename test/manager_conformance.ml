@@ -102,6 +102,25 @@ let test_trace_replay (e : Registry.entry) () =
   check "kernel" (module Heap);
   check "reference" (module Heap_ref)
 
+(* A manager's state lives for one execution: one instance serving PF
+   and then the churn, twice over, gives each run the outcome a fresh
+   instance gives it. *)
+let test_two_executions (e : Registry.entry) () =
+  let pf () = snd (Pf.program ~m:4096 ~n:64 ~c:8.0 ()) in
+  let churn () = churn_program ~seed:Helpers.churn_seed in
+  let run_with manager (what, c, program) =
+    (what, Runner.run ~c ~program:(program ()) ~manager ())
+  in
+  let shared = e.construct () in
+  List.iter
+    (fun run ->
+      let what, o = run_with shared run in
+      Alcotest.check Helpers.outcome
+        (Fmt.str "%s: %s through a used instance" e.key what)
+        (snd (run_with (e.construct ()) run))
+        o)
+    [ ("pf", 8.0, pf); ("churn", c, churn); ("pf", 8.0, pf); ("churn", c, churn) ]
+
 let battery (e : Registry.entry) =
   ( e.key,
     [
@@ -111,6 +130,8 @@ let battery (e : Registry.entry) =
       Alcotest.test_case "backend determinism" `Quick
         (test_backend_determinism e);
       Alcotest.test_case "trace replay" `Quick (test_trace_replay e);
+      Alcotest.test_case "one instance serves two executions" `Quick
+        (test_two_executions e);
     ] )
 
 let batteries = List.map battery (Registry.entries ())

@@ -37,7 +37,7 @@ let test_budget_trip () =
   ignore (Oracle.seq o)
 
 (* A heap made by [Ctx.create ~budget] with the oracle auditing the same
-   c: the over-budget move reaches the oracle before the kernel charges
+   c: the over-budget move reaches the oracle before the kernel checks
    the budget, so the oracle reports it and [Budget.Exceeded] does
    not. *)
 let test_oracle_sees_move_before_budget () =
@@ -54,7 +54,7 @@ let test_oracle_sees_move_before_budget () =
         Alcotest.fail "Budget.Exceeded raised before the oracle saw the move"
   in
   Alcotest.(check string) "oracle" "budget" v.oracle;
-  Alcotest.(check int) "budget not charged" 0 (Budget.moved budget)
+  Alcotest.(check int) "the move is on the heap's ledger" 8 (Heap.moved_total h)
 
 let test_live_bound_trip () =
   let h = Heap.create () in
@@ -112,8 +112,8 @@ let test_attach_validation () =
 (* ------------------------------------------------------------------ *)
 (* The injected-bug drill: a manager whose budget debit is broken      *)
 
-let drill () =
-  let mgr = Pc_manager.Registry.construct_exn "compacting" in
+let drill ?(manager = "compacting") () =
+  let mgr = Pc_manager.Registry.construct_exn manager in
   let _, program =
     Pc_adversary.Pf.program ~m:(1 lsl 12) ~n:(1 lsl 6) ~c:8.0 ()
   in
@@ -168,6 +168,20 @@ let test_drill_deterministic () =
   Alcotest.(check string) "same bundle dir" b1.Report.dir b2.Report.dir;
   Alcotest.(check int) "same minimized size" b1.Report.events_min
     b2.Report.events_min
+
+(* The triage re-run records the same execution the violation came
+   from, even for managers with per-execution state: the bundle's full
+   trace ends at the violating event. *)
+let test_bundle_from_the_violating_run () =
+  List.iter
+    (fun manager ->
+      let b = drill ~manager () in
+      Alcotest.(check int)
+        (manager ^ ": recorded events = violation seq")
+        b.Report.violation.Oracle.seq b.Report.events_full)
+    [ "compacting"; "compact-fit"; "cost-oblivious"; "polylog-realloc" ];
+  Alcotest.(check int) "cost-oblivious trips at event 5" 5
+    (drill ~manager:"cost-oblivious" ()).Report.events_full
 
 let test_differential_run_matches_plain () =
   let point audit =
@@ -359,6 +373,8 @@ let () =
             test_drill_bundle_replays;
           Alcotest.test_case "drill deterministic" `Quick
             test_drill_deterministic;
+          Alcotest.test_case "bundle from the violating run" `Quick
+            test_bundle_from_the_violating_run;
           Alcotest.test_case "differential matches plain" `Quick
             test_differential_run_matches_plain;
           Alcotest.test_case "theory ships unshrunk" `Quick

@@ -10,10 +10,10 @@ let ctx_with ~c layout =
   let ctx = Ctx.create ~budget ~live_bound:65536 () in
   let heap = Ctx.heap ctx in
   let oids = List.map (fun (addr, size) -> Heap.alloc heap ~addr ~size) layout in
-  (ctx, heap, budget, oids)
+  (ctx, heap, oids)
 
 let test_window_cost () =
-  let _, heap, _, _ =
+  let _, heap, _ =
     ctx_with ~c:4.0 [ (0, 10); (60, 16); (100, 4) ]
   in
   Alcotest.(check int) "empty window" 0 (Evict.window_cost heap ~start:16 ~size:32);
@@ -29,10 +29,10 @@ let test_window_candidates_order () =
   (* three windows of size 32 with occupancies 0 (skipped by gap
      discovery only if empty — empty windows still listed), 2, 12:
      candidates come cheapest first *)
-  let ctx, _, _, _ =
+  let ctx, _, _ =
     ctx_with ~c:4.0 [ (0, 30); (34, 2); (64, 12); (120, 8) ]
   in
-  let cands = Evict.window_candidates ctx ~size:32 ~align:32 in
+  let cands = Evict.window_candidates (Evict.create ()) ctx ~size:32 ~align:32 in
   (match cands with
   | first :: second :: _ ->
       Alcotest.(check int) "cheapest window" 32 first.window_start;
@@ -47,7 +47,7 @@ let test_window_candidates_order () =
     cands
 
 let test_relocate_avoids_window () =
-  let ctx, heap, _, oids = ctx_with ~c:4.0 [ (0, 28); (34, 2); (120, 20) ] in
+  let ctx, heap, oids = ctx_with ~c:4.0 [ (0, 28); (34, 2); (120, 20) ] in
   ignore oids;
   (* gaps: [28,34) = 6, [36,120) = 84. Avoid [32,64): the first-fit
      target for a 2-word object would be 28 (fine), but for a 40-word
@@ -69,32 +69,33 @@ let capped_layout = [ (0, 30); (40, 12); (64, 28); (112, 8) ]
 let test_try_evict_respects_budget () =
   (* The cheapest window costs 12 but the quota is 1: eviction must
      fail and move nothing. *)
-  let ctx, heap, budget, _ = ctx_with ~c:64.0 capped_layout in
+  let ctx, heap, _ = ctx_with ~c:64.0 capped_layout in
   (* allocated = 78, quota = 78/64 = 1 *)
-  Alcotest.(check int) "tiny quota" 1 (Budget.available budget);
-  let r = Evict.try_evict ctx ~size:32 ~align:32 ~move_cap:100 in
+  Alcotest.(check int) "tiny quota" 1 (Heap.available heap);
+  let r = Evict.try_evict (Evict.create ()) ctx ~size:32 ~align:32 ~move_cap:100 in
   Alcotest.(check bool) "no eviction" true (r = None);
   Alcotest.(check int) "nothing moved" 0 (Heap.moved_total heap)
 
 let test_try_evict_move_cap () =
   (* Plenty of budget but a small move_cap: same refusal. *)
-  let ctx, heap, _, _ = ctx_with ~c:2.0 capped_layout in
-  let r = Evict.try_evict ctx ~size:32 ~align:32 ~move_cap:4 in
+  let ctx, heap, _ = ctx_with ~c:2.0 capped_layout in
+  let evict = Evict.create () in
+  let r = Evict.try_evict evict ctx ~size:32 ~align:32 ~move_cap:4 in
   Alcotest.(check bool) "cap refuses" true (r = None);
   Alcotest.(check int) "nothing moved" 0 (Heap.moved_total heap);
   (* raise the cap: [32,64) clears; its 12-word occupant cannot use
      the [52,64) gap (inside the window) and lands at [92,104) *)
-  let r = Evict.try_evict ctx ~size:32 ~align:32 ~move_cap:16 in
+  let r = Evict.try_evict evict ctx ~size:32 ~align:32 ~move_cap:16 in
   Alcotest.(check (option int)) "window cleared" (Some 32) r;
   Alcotest.(check bool) "free now" true (Heap.is_free heap ~addr:32 ~size:32);
   Alcotest.(check int) "moved the occupant" 12 (Heap.moved_total heap)
 
 let test_try_evict_straddler () =
   (* An object straddling the window boundary must be moved whole. *)
-  let ctx, heap, _, oids = ctx_with ~c:2.0 [ (0, 24); (60, 8); (96, 30) ] in
+  let ctx, heap, oids = ctx_with ~c:2.0 [ (0, 24); (60, 8); (96, 30) ] in
   let straddler = List.nth oids 1 in
   (* object [60,68) straddles windows [32,64) and [64,96) *)
-  let r = Evict.try_evict ctx ~size:32 ~align:32 ~move_cap:32 in
+  let r = Evict.try_evict (Evict.create ()) ctx ~size:32 ~align:32 ~move_cap:32 in
   Alcotest.(check (option int)) "cleared a window" (Some 32) r;
   Alcotest.(check bool) "straddler moved entirely" true
     (let a = Heap.addr heap straddler in
@@ -146,7 +147,7 @@ let test_meshing_merge_charges_window_cost () =
   let _, a = alloc 8 in
   Alcotest.(check int) "merge reused the released cell" 0 a;
   Alcotest.(check int) "budget charged exactly window_cost" expected
-    (Budget.moved budget);
+    (Heap.moved_total (Ctx.heap ctx));
   Oracle.finish oracle;
   Heap.check_invariants heap
 
@@ -166,7 +167,7 @@ let test_compact_fit_plug_charges_window_cost () =
   Alcotest.(check int) "donor slot costs its live words" 3 expected;
   let _, a = alloc 3 in
   Alcotest.(check int) "budget charged exactly window_cost" expected
-    (Budget.moved budget);
+    (Heap.moved_total (Ctx.heap ctx));
   Alcotest.(check int) "migrant plugged the low hole" 8
     (Heap.addr heap (fst oids.(7)));
   Alcotest.(check int) "allocation went to the surviving partial page" 16 a;
@@ -174,7 +175,7 @@ let test_compact_fit_plug_charges_window_cost () =
   Heap.check_invariants heap
 
 (* ------------------------------------------------------------------ *)
-(* The window scan kept in [Ctx] must be invisible: after any sequence
+(* The window scan kept in an [Evict.t] must be invisible: after any sequence
    of mutations, [window_candidates] equals a from-scratch scan of the
    64 largest gaps costed on a reference heap kept in lockstep. *)
 
@@ -288,6 +289,7 @@ let prop_scan_cache_exact =
     (fun (k, ops) ->
       let size = 1 lsl k in
       let ctx = Ctx.create ~live_bound:65536 () in
+      let evict = Evict.create () in
       let h = Ctx.heap ctx and r = Heap_ref.create () in
       List.for_all
         (fun op ->
@@ -297,7 +299,7 @@ let prop_scan_cache_exact =
           List.for_all
             (fun (size, align) ->
               let kept =
-                Evict.window_candidates ctx ~size ~align
+                Evict.window_candidates evict ctx ~size ~align
                 |> List.map (fun (c : Evict.candidate) ->
                        (c.cost, c.window_start))
               in
