@@ -26,7 +26,8 @@ let make () =
     in
     let bump = Free_index.frontier free in
     if bump + size <= limit then bump
-    else if not (Heap.can_move heap (Heap.live_words heap)) then bump (* degrade gracefully rather than break the c-partial rule *)
+    else if not (Heap.can_move heap (Heap.live_words heap)) then
+      bump (* degrade gracefully rather than break the c-partial rule *)
     else begin
       (* Slide every live object down, in address order; destinations
          never pass sources so each move lands in free space. *)

@@ -33,7 +33,8 @@ let stateful ~name ?description ~init ?on_free alloc =
         s
   in
   let on_free = Option.map (fun f ctx o -> f (state ctx) ctx o) on_free in
-  make ~name ?description ?on_free (fun ctx ~size -> alloc (state ctx) ctx ~size)
+  make ~name ?description ?on_free (fun ctx ~size ->
+      alloc (state ctx) ctx ~size)
 
 let name t = t.name
 let description t = t.description

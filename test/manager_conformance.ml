@@ -106,20 +106,18 @@ let test_trace_replay (e : Registry.entry) () =
    and then the churn, twice over, gives each run the outcome a fresh
    instance gives it. *)
 let test_two_executions (e : Registry.entry) () =
-  let pf () = snd (Pf.program ~m:4096 ~n:64 ~c:8.0 ()) in
-  let churn () = churn_program ~seed:Helpers.churn_seed in
-  let run_with manager (what, c, program) =
-    (what, Runner.run ~c ~program:(program ()) ~manager ())
+  let pf = ("pf", 8.0, fun () -> snd (Pf.program ~m:4096 ~n:64 ~c:8.0 ())) in
+  let churn = ("churn", c, fun () -> churn_program ~seed:Helpers.churn_seed) in
+  let run manager (_, c, program) =
+    Runner.run ~c ~program:(program ()) ~manager ()
   in
   let shared = e.construct () in
   List.iter
-    (fun run ->
-      let what, o = run_with shared run in
+    (fun ((what, _, _) as job) ->
       Alcotest.check Helpers.outcome
         (Fmt.str "%s: %s through a used instance" e.key what)
-        (snd (run_with (e.construct ()) run))
-        o)
-    [ ("pf", 8.0, pf); ("churn", c, churn); ("pf", 8.0, pf); ("churn", c, churn) ]
+        (run (e.construct ()) job) (run shared job))
+    [ pf; churn; pf; churn ]
 
 let battery (e : Registry.entry) =
   ( e.key,

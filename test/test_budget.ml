@@ -87,7 +87,8 @@ let prop_accounting =
         if Random.State.bool st then begin
           let words = 1 + Random.State.int st 100 in
           objs :=
-            Array.append !objs (Array.init words (fun _ -> alloc_at_frontier h 1));
+            Array.append !objs
+              (Array.init words (fun _ -> alloc_at_frontier h 1));
           allocated := !allocated + words
         end
         else begin

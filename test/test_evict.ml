@@ -32,7 +32,9 @@ let test_window_candidates_order () =
   let ctx, _, _ =
     ctx_with ~c:4.0 [ (0, 30); (34, 2); (64, 12); (120, 8) ]
   in
-  let cands = Evict.window_candidates (Evict.create ()) ctx ~size:32 ~align:32 in
+  let cands =
+    Evict.window_candidates (Evict.create ()) ctx ~size:32 ~align:32
+  in
   (match cands with
   | first :: second :: _ ->
       Alcotest.(check int) "cheapest window" 32 first.window_start;
@@ -72,7 +74,9 @@ let test_try_evict_respects_budget () =
   let ctx, heap, _ = ctx_with ~c:64.0 capped_layout in
   (* allocated = 78, quota = 78/64 = 1 *)
   Alcotest.(check int) "tiny quota" 1 (Heap.available heap);
-  let r = Evict.try_evict (Evict.create ()) ctx ~size:32 ~align:32 ~move_cap:100 in
+  let r =
+    Evict.try_evict (Evict.create ()) ctx ~size:32 ~align:32 ~move_cap:100
+  in
   Alcotest.(check bool) "no eviction" true (r = None);
   Alcotest.(check int) "nothing moved" 0 (Heap.moved_total heap)
 
@@ -95,7 +99,9 @@ let test_try_evict_straddler () =
   let ctx, heap, oids = ctx_with ~c:2.0 [ (0, 24); (60, 8); (96, 30) ] in
   let straddler = List.nth oids 1 in
   (* object [60,68) straddles windows [32,64) and [64,96) *)
-  let r = Evict.try_evict (Evict.create ()) ctx ~size:32 ~align:32 ~move_cap:32 in
+  let r =
+    Evict.try_evict (Evict.create ()) ctx ~size:32 ~align:32 ~move_cap:32
+  in
   Alcotest.(check (option int)) "cleared a window" (Some 32) r;
   Alcotest.(check bool) "straddler moved entirely" true
     (let a = Heap.addr heap straddler in
@@ -147,7 +153,7 @@ let test_meshing_merge_charges_window_cost () =
   let _, a = alloc 8 in
   Alcotest.(check int) "merge reused the released cell" 0 a;
   Alcotest.(check int) "budget charged exactly window_cost" expected
-    (Heap.moved_total (Ctx.heap ctx));
+    (Heap.moved_total heap);
   Oracle.finish oracle;
   Heap.check_invariants heap
 
@@ -167,7 +173,7 @@ let test_compact_fit_plug_charges_window_cost () =
   Alcotest.(check int) "donor slot costs its live words" 3 expected;
   let _, a = alloc 3 in
   Alcotest.(check int) "budget charged exactly window_cost" expected
-    (Heap.moved_total (Ctx.heap ctx));
+    (Heap.moved_total heap);
   Alcotest.(check int) "migrant plugged the low hole" 8
     (Heap.addr heap (fst oids.(7)));
   Alcotest.(check int) "allocation went to the surviving partial page" 16 a;
@@ -175,9 +181,9 @@ let test_compact_fit_plug_charges_window_cost () =
   Heap.check_invariants heap
 
 (* ------------------------------------------------------------------ *)
-(* The window scan kept in an [Evict.t] must be invisible: after any sequence
-   of mutations, [window_candidates] equals a from-scratch scan of the
-   64 largest gaps costed on a reference heap kept in lockstep. *)
+(* The window scan kept in an [Evict.t] must be invisible: after any
+   sequence of mutations, [window_candidates] equals a from-scratch scan
+   of the 64 largest gaps costed on a reference heap kept in lockstep. *)
 
 type op =
   | At_frontier of int (* size *)

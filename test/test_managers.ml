@@ -136,7 +136,7 @@ let test_compacting_reuses_window () =
   let a = Manager.alloc mgr ctx ~size:64 in
   Alcotest.(check int) "window reused" 64 a;
   Alcotest.(check bool) "obstacle was moved" true (Heap.addr heap obstacle <> 70);
-  Alcotest.(check int) "budget charged" 1 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "budget charged" 1 (Heap.moved_total heap);
   Alcotest.(check bool) "window now free" true
     (Heap.is_free heap ~addr:64 ~size:64)
 
@@ -182,7 +182,7 @@ let test_semispace_flip () =
   (* next allocation cannot bump (space full) -> flip into [64,128) *)
   let a = Manager.alloc mgr ctx ~size:16 in
   Alcotest.(check int) "flip copied survivors to to-space" (64 + 32) a;
-  Alcotest.(check int) "copied words" 32 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "copied words" 32 (Heap.moved_total heap);
   let _ = Heap.alloc heap ~addr:a ~size:16 in
   Alcotest.(check bool) "old space clear" true
     (Heap.occupied_words_in heap ~start:0 ~stop:64 = 0)
@@ -204,7 +204,7 @@ let test_semispace_overflow_when_budget_dry () =
   Heap.free heap (Pc_heap.Oid.of_int 0);
   let a = Manager.alloc mgr ctx ~size:16 in
   Alcotest.(check bool) "overflow beyond both spaces" true (a >= 128);
-  Alcotest.(check int) "nothing moved" 0 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "nothing moved" 0 (Heap.moved_total heap);
   ignore live_before
 
 let test_sliding_periodic_compaction () =
@@ -224,7 +224,7 @@ let test_sliding_periodic_compaction () =
   Alcotest.(check int) "first fit into hole" 0 x;
   ignore (Heap.alloc heap ~addr:x ~size:50 : Oid.t);
   (* allocated = 250 < 256: still no slide *)
-  Alcotest.(check int) "no compaction yet" 0 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "no compaction yet" 0 (Heap.moved_total heap);
   let y = Manager.alloc mgr ctx ~size:20 in
   ignore (Heap.alloc heap ~addr:y ~size:20 : Oid.t);
   Alcotest.(check int) "fills the hole, still no slide" 50 y;
@@ -232,7 +232,7 @@ let test_sliding_periodic_compaction () =
      survivor at [100,200) slides down to [70,170) before placement *)
   let z = Manager.alloc mgr ctx ~size:10 in
   ignore (Heap.alloc heap ~addr:z ~size:10 : Oid.t);
-  Alcotest.(check int) "slid" 100 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "slid" 100 (Heap.moved_total heap);
   Alcotest.(check int) "placed after slide" 170 z
 
 let test_bp_simple_bound () =
@@ -282,7 +282,7 @@ let test_meshing_merges_disjoint_pages () =
   let a = Manager.alloc mgr ctx ~size:8 in
   Alcotest.(check int) "released cell reused" 0 a;
   Alcotest.(check int) "merge charged the source page's live words" 8
-    (Heap.moved_total (Ctx.heap ctx));
+    (Heap.moved_total heap);
   Alcotest.(check int) "survivors merged into one full page" 16
     (Heap.occupied_words_in heap ~start:16 ~stop:32);
   ignore (Heap.alloc heap ~addr:a ~size:8 : Oid.t);
@@ -307,9 +307,9 @@ let test_compact_fit_plugs_full_page_hole () =
      the highest slot of the higher partial page *)
   free oids.(2);
   free oids.(4);
-  Alcotest.(check int) "nothing moved yet" 0 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "nothing moved yet" 0 (Heap.moved_total heap);
   let _, a = alloc 4 in
-  Alcotest.(check int) "repair moved one object" 4 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "repair moved one object" 4 (Heap.moved_total heap);
   Alcotest.(check int) "migrant plugged the low hole" 8
     (Heap.addr heap (fst oids.(7)));
   Alcotest.(check int) "allocation goes to the surviving partial page" 16 a;
@@ -327,12 +327,12 @@ let test_cost_oblivious_resizes_on_volume () =
      16-word migration yet: allocations overflow outside the bucket *)
   Alcotest.(check int) "overflow" 16 (snd (alloc 8));
   Alcotest.(check int) "overflow again" 24 (snd (alloc 8));
-  Alcotest.(check int) "nothing moved yet" 0 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "nothing moved yet" 0 (Heap.moved_total heap);
   (* 32 allocated words recharged the quota to 16: the bucket doubles
      and the class migrates compactly *)
   Alcotest.(check int) "doubled bucket" 48 (snd (alloc 8));
   Alcotest.(check int) "migration paid by allocation volume" 16
-    (Heap.moved_total (Ctx.heap ctx));
+    (Heap.moved_total heap);
   Alcotest.(check bool) "old bucket vacated" true
     (Heap.is_free heap ~addr:0 ~size:16);
   Heap.check_invariants heap
@@ -378,12 +378,12 @@ let test_polylog_epoch_repack () =
   let o5 = alloc 16 and o6 = alloc 16 in
   Alcotest.(check (list int)) "holes unusable before repack" [ 32; 48 ]
     [ snd o5; snd o6 ];
-  Alcotest.(check int) "no repack yet" 0 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "no repack yet" 0 (Heap.moved_total heap);
   (* allocated = 64 = M: the next request triggers the epoch repack,
      sliding objects to their lowest aligned fit until the quota
      (64/2 = 32) runs dry — a partial compaction *)
   let _, a = alloc 8 in
-  Alcotest.(check int) "repack stopped at the quota" 32 (Heap.moved_total (Ctx.heap ctx));
+  Alcotest.(check int) "repack stopped at the quota" 32 (Heap.moved_total heap);
   Alcotest.(check int) "first survivor slid down" 0
     (Heap.addr heap (fst o2));
   Alcotest.(check int) "last survivor out of budget, unmoved" 48
