@@ -11,7 +11,12 @@
    After the registry rows come the page-grid family at other sizes
    (segregated blocks of 64 words, pages of 16 to 256 words, two-slot
    buckets), where pages fill, retire and plug many times over at
-   M = 2^12; the 32- and 256-word meshing rows mesh on churn. *)
+   M = 2^12; the 32- and 256-word meshing rows mesh on churn.
+
+   Last come P_F rows at M = 2^14, n = 2^9, c = 16, one per registry
+   manager: four stage-2 steps, where the M = 2^12 rows run one, so the
+   chunk association's merge order and density pass are pinned over
+   several merges. *)
 
 open Pc_core.Pc
 
@@ -61,6 +66,11 @@ let small =
     ("cost-oblivious/i2", fun () -> Cost_oblivious.make ~init_slots:2 ());
   ]
 
+let pf_steps =
+  ( "pf-c16-m16K-n512",
+    Some 16.0,
+    fun () -> snd (Pf.program ~m:(1 lsl 14) ~n:(1 lsl 9) ~c:16.0 ()) )
+
 let () =
   List.iter
     (fun key ->
@@ -68,4 +78,7 @@ let () =
     (Managers.keys ());
   List.iter
     (fun (key, construct) -> List.iter (row_of key construct) workloads)
-    small
+    small;
+  List.iter
+    (fun key -> row_of key (fun () -> Managers.construct_exn key) pf_steps)
+    (Managers.keys ())
