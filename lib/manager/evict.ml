@@ -100,8 +100,12 @@ let rescan ws ctx ~size ~align =
      every hit. *)
   let gen = ws.gen + 1 in
   ws.gen <- gen;
+  (* Grown geometrically: the frontier creeps up while the heap grows,
+     and an exact fit would allocate afresh on almost every rescan. A
+     fresh array's zeros are never the current generation. *)
   let need = (frontier / align) + 2 in
-  if Array.length ws.seen < need then ws.seen <- Array.make (max need 1024) 0;
+  if Array.length ws.seen < need then
+    ws.seen <- Array.make (max need (max 1024 (2 * Array.length ws.seen))) 0;
   let seen = ws.seen in
   let consider w =
     if w >= 0 && Array.unsafe_get seen w <> gen then begin

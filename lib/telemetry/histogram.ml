@@ -8,14 +8,19 @@
    the boundary semantics exact (pinned by unit tests). 63 buckets
    cover every positive OCaml int. *)
 
+(* Every cell is an [Atomic], as a [Counter]'s value is, so
+   observations from several worker domains at once (the kernel's
+   histograms under a parallel sweep) are never lost; min and max move
+   by compare-and-set. The disabled path is still one load of
+   [Sink.active] and an untaken branch. *)
 type t = {
   name : string;
-  buckets : int array;
-  mutable zeros : int;
-  mutable count : int;
-  mutable sum : int;
-  mutable min : int;
-  mutable max : int;
+  buckets : int Atomic.t array;
+  zeros : int Atomic.t;
+  count : int Atomic.t;
+  sum : int Atomic.t;
+  min : int Atomic.t;
+  max : int Atomic.t;
 }
 
 let nbuckets = 63
@@ -23,21 +28,24 @@ let nbuckets = 63
 let v name =
   {
     name;
-    buckets = Array.make nbuckets 0;
-    zeros = 0;
-    count = 0;
-    sum = 0;
-    min = max_int;
-    max = min_int;
+    buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
+    zeros = Atomic.make 0;
+    count = Atomic.make 0;
+    sum = Atomic.make 0;
+    min = Atomic.make max_int;
+    max = Atomic.make min_int;
   }
 
 let name t = t.name
-let count t = t.count
-let sum t = t.sum
-let zeros t = t.zeros
-let min_value t = if t.count = 0 then 0 else t.min
-let max_value t = if t.count = 0 then 0 else t.max
-let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
+let count t = Atomic.get t.count
+let sum t = Atomic.get t.sum
+let zeros t = Atomic.get t.zeros
+let min_value t = if count t = 0 then 0 else Atomic.get t.min
+let max_value t = if count t = 0 then 0 else Atomic.get t.max
+
+let mean t =
+  let n = count t in
+  if n = 0 then 0.0 else float_of_int (sum t) /. float_of_int n
 
 (* floor(log2 v) for v >= 1. *)
 let bucket_index v =
@@ -54,26 +62,38 @@ let bucket_bounds k =
   if k < 0 || k >= nbuckets then invalid_arg "Histogram.bucket_bounds";
   (1 lsl k, if k = nbuckets - 1 then max_int else 1 lsl (k + 1))
 
+(* Move the min (max) cell down (up) to [v], retrying on a lost race. *)
+let rec lower (cell : int Atomic.t) v =
+  let cur = Atomic.get cell in
+  if v < cur && not (Atomic.compare_and_set cell cur v) then lower cell v
+
+let rec lift (cell : int Atomic.t) v =
+  let cur = Atomic.get cell in
+  if v > cur && not (Atomic.compare_and_set cell cur v) then lift cell v
+
 let observe t v =
   if !Sink.active then begin
-    if v <= 0 then t.zeros <- t.zeros + 1
+    if v <= 0 then Atomic.incr t.zeros
     else begin
-      let b = bucket_index v in
-      t.buckets.(b) <- t.buckets.(b) + 1;
-      t.sum <- t.sum + v
+      Atomic.incr t.buckets.(bucket_index v);
+      ignore (Atomic.fetch_and_add t.sum v : int)
     end;
-    t.count <- t.count + 1;
-    if v < t.min then t.min <- v;
-    if v > t.max then t.max <- v
+    Atomic.incr t.count;
+    lower t.min v;
+    lift t.max v
   end
 
 let iter_buckets t f =
-  Array.iteri (fun k c -> if c > 0 then f k c) t.buckets
+  Array.iteri
+    (fun k c ->
+      let c = Atomic.get c in
+      if c > 0 then f k c)
+    t.buckets
 
 let reset t =
-  Array.fill t.buckets 0 nbuckets 0;
-  t.zeros <- 0;
-  t.count <- 0;
-  t.sum <- 0;
-  t.min <- max_int;
-  t.max <- min_int
+  Array.iter (fun c -> Atomic.set c 0) t.buckets;
+  Atomic.set t.zeros 0;
+  Atomic.set t.count 0;
+  Atomic.set t.sum 0;
+  Atomic.set t.min max_int;
+  Atomic.set t.max min_int

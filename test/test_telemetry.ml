@@ -266,8 +266,9 @@ let test_overhead_smoke () =
     true
     (summary <= (off *. 5.0) +. 0.05)
 
-(* Counters are bumped from every worker domain: a parallel sweep must
-   count exactly what a serial one does. *)
+(* Counters and histograms are bumped from every worker domain: a
+   parallel sweep must count exactly what a serial one does, and each
+   per-event histogram must see every event its counter counts. *)
 let test_counters_exact_in_parallel () =
   let specs =
     List.map
@@ -281,7 +282,17 @@ let test_counters_exact_in_parallel () =
   in
   let serial = allocs_at 1 in
   Alcotest.(check bool) "the sweep allocates" true (serial > 0);
-  Alcotest.(check int) "heap.allocs at -j 2 = at -j 1" serial (allocs_at 2)
+  Alcotest.(check int) "heap.allocs at -j 2 = at -j 1" serial (allocs_at 2);
+  with_level T.Sink.Full (fun () ->
+      ignore (Pc_exec.Engine.run ~jobs:2 specs);
+      let counter name = T.Counter.value (T.Registry.counter name) in
+      let observed name = T.Histogram.count (T.Registry.histogram name) in
+      Alcotest.(check int) "heap.alloc_size count = heap.allocs at -j 2"
+        (counter "heap.allocs") (observed "heap.alloc_size");
+      Alcotest.(check int)
+        "free_index.gaps_at_search count = free_index.searches at -j 2"
+        (counter "free_index.searches")
+        (observed "free_index.gaps_at_search"))
 
 let () =
   Alcotest.run "telemetry"
