@@ -18,20 +18,14 @@ open Pc_heap
    [Hashtbl.hash]) created with size 1024 would: the programs' choices
    follow that order (which ghost is freed first, which object a chunk
    keeps), and so do the event streams the behaviour lock pins. That
-   order is a sort key, so no bucket chain is kept:
-   - present oids ascending by [Hashtbl.hash oid land (nb - 1)], then
-     descending by oid;
-   - [nb] starts at 1024 and doubles once the count passes [2 nb]; it
-     never shrinks.
-   It equals the table's order because the view inserts oids in
-   increasing order (they are fresh from the heap) and the table puts
-   a new binding at the front of its bucket, so each chain is newest
-   (highest oid) first; a resize appends each old chain, in order, to
-   the new buckets its bindings hash to, which keeps every chain
-   descending. The walks build the order with one counting sort over
-   the oids [0, hi), read sequentially, into a fresh array. It is not
-   kept between walks: held while the program refills the heap, it
-   raised robson-fit's peak RSS by 7%. *)
+   order is a sort key ([Table_order]), so no bucket chain is kept:
+   present oids ascending by [Hashtbl.hash oid land (nb - 1)], then
+   descending by oid, with [nb] from 1024. Newest first is descending
+   oid because the view inserts oids in increasing order (they are
+   fresh from the heap). The walks build the order with one counting
+   sort over the oids [0, hi), read sequentially, into a fresh array.
+   It is not kept between walks: held while the program refills the
+   heap, it raised robson-fit's peak RSS by 7%. *)
 
 type record = {
   oid : Oid.t;
@@ -101,7 +95,7 @@ let insert t (r : record) =
   set_record t o r;
   if o >= t.hi then t.hi <- o + 1;
   t.count <- t.count + 1;
-  if t.count > 2 * t.nb then t.nb <- 2 * t.nb
+  t.nb <- Table_order.grown ~count:t.count t.nb
 
 (* Take a present record out of the view, without freeing it. *)
 let forget t o size =
@@ -110,33 +104,10 @@ let forget t o size =
   t.count <- t.count - 1;
   t.present_words <- t.present_words - size
 
-(* The present oids in table order: count the records per bucket,
-   turn the counts into start slots, then place the oids from [hi - 1]
-   down, so each bucket's run comes out descending. *)
+(* The present oids in table order; an oid is its insertion rank. *)
 let sorted_present t =
-  let mask = t.nb - 1 in
-  let starts = Array.make t.nb 0 and order = Array.make t.count 0 in
-  for o = 0 to t.hi - 1 do
-    if size_at t o > 0 then begin
-      let b = hash_at t o land mask in
-      Array.unsafe_set starts b (Array.unsafe_get starts b + 1)
-    end
-  done;
-  let next = ref 0 in
-  for b = 0 to t.nb - 1 do
-    let c = Array.unsafe_get starts b in
-    Array.unsafe_set starts b !next;
-    next := !next + c
-  done;
-  for o = t.hi - 1 downto 0 do
-    if size_at t o > 0 then begin
-      let b = hash_at t o land mask in
-      let k = Array.unsafe_get starts b in
-      Array.unsafe_set order k o;
-      Array.unsafe_set starts b (k + 1)
-    end
-  done;
-  order
+  Table_order.sort ~nb:t.nb ~count:t.count ~len:t.hi (fun o ->
+      if size_at t o > 0 then hash_at t o else -1)
 
 let ghost t (r : record) =
   if not r.ghost then begin
