@@ -100,7 +100,6 @@ let create ~chunk_log ~ell =
 
 let chunk_log t = t.chunk_log
 let chunk_words t = 1 lsl t.chunk_log
-let ell t = t.ell
 let[@inline] cget t idx f = Chunked.get t.chunk ((idx * c_stride) + f)
 let[@inline] cset t idx f v = Chunked.set t.chunk ((idx * c_stride) + f) v
 let[@inline] head t idx = cget t idx c_head - 1

@@ -46,8 +46,6 @@ val create : chunk_log:int -> ell:int -> t
 (** Chunks of [2{^chunk_log}] words; target density [2{^-ell}]. *)
 
 val chunk_log : t -> int
-val chunk_words : t -> int
-val ell : t -> int
 val sum : t -> int -> int
 (** Total entry size associated with a chunk index. *)
 

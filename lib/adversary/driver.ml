@@ -18,7 +18,6 @@ type t = { ctx : Ctx.t; manager : Manager.t }
 let create ctx manager = { ctx; manager }
 
 let heap t = Ctx.heap t.ctx
-let ctx t = t.ctx
 let live_bound t = Ctx.live_bound t.ctx
 let live_words t = Heap.live_words (heap t)
 

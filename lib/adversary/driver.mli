@@ -21,7 +21,6 @@ val alloc : t -> size:int -> Pc_heap.Oid.t * int * move_note list
 
 val free : t -> Pc_heap.Oid.t -> unit
 val heap : t -> Pc_heap.Heap.t
-val ctx : t -> Pc_manager.Ctx.t
 val live_bound : t -> int
 val live_words : t -> int
 val high_water : t -> int

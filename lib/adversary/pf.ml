@@ -57,17 +57,14 @@ let config ?ell ~m ~n ~c () =
   in
   { m; n; c; ell; h; x }
 
-(* Drop an object's view record once its last association entry is
+(* Drop an object from the view once its last association entry is
    gone. Only ghosts can reach this point: a live object's entries sit
    on chunks it intersects, which are therefore never reused. *)
 let drop_if_orphaned view assoc oid =
-  if Association.locs_of assoc oid = [] then begin
-    match View.find view oid with
-    | Some r ->
-        if not r.ghost then
-          failwith "Pf: live object lost its association entries";
-        View.free view r
-    | None -> ()
+  if Association.locs_of assoc oid = [] && View.mem view oid then begin
+    if not (View.is_ghost view oid) then
+      failwith "Pf: live object lost its association entries";
+    View.free view oid
   end
 
 (* Algorithm 1 line 13: for each chunk, de-allocate as much as
@@ -104,9 +101,7 @@ let density_pass view assoc ~threshold =
               end
               else begin
                 Association.remove_entry assoc idx e;
-                match View.find view oid with
-                | Some r -> View.free view r
-                | None -> failwith "Pf: association entry without view record"
+                View.free view oid
               end
             end)
     done
@@ -165,25 +160,21 @@ let program ?ell ?observe ?(audit = false) ?stage1_steps
        ghosts associated too, a manager could reuse their long-freed
        chunks in stage 2 without paying any stage-2 compaction,
        breaking Lemma 4.6's accounting. *)
-    let stage1_ghosts =
-      View.fold_present view ~init:[] ~f:(fun acc r ->
-          if r.ghost then r :: acc else acc)
-    in
-    List.iter (fun r -> View.free view r) stage1_ghosts;
+    View.drop_ghosts view;
     let assoc = Association.create ~chunk_log:((2 * ell) - 1) ~ell in
     let modulus = 1 lsl ell in
-    View.iter_present view (fun r ->
+    View.iter_present view (fun oid addr size ->
         (* the object's f_l-occupying word (live objects never moved,
            so the original address is the current one). After a full
            stage 1 every survivor is f_l-occupying; a truncated stage
            (ablation) leaves non-occupying objects, which we associate
            with the chunk of their first word to keep the invariant
            "an associated object intersects its chunk". *)
-        let delta = (f - r.orig_addr) mod modulus in
+        let delta = (f - addr) mod modulus in
         let delta = if delta < 0 then delta + modulus else delta in
-        let w = if delta < r.size then r.orig_addr + delta else r.orig_addr in
+        let w = if delta < size then addr + delta else addr in
         let idx = w / (1 lsl ((2 * ell) - 1)) in
-        Association.assoc_whole assoc r.oid ~obj_size:r.size ~chunk:idx);
+        Association.assoc_whole assoc oid ~obj_size:size ~chunk:idx);
     (* One run per chunk, so the stage-2 walks read each list in
        order. *)
     Association.pack assoc;
@@ -209,9 +200,9 @@ let program ?ell ?observe ?(audit = false) ?stage1_steps
           let u_before =
             if audit then Association.potential assoc ~n else 0
           in
-          let r = View.alloc view ~size in
+          let oid = View.alloc view ~size in
           (* first chunk fully covered by the object *)
-          let k0 = (r.orig_addr + chunk - 1) / chunk in
+          let k0 = (View.addr view oid + chunk - 1) / chunk in
           let d1 = k0 and d2 = k0 + 1 and d3 = k0 + 2 in
           let q_o =
             if audit then
@@ -224,7 +215,7 @@ let program ?ell ?observe ?(audit = false) ?stage1_steps
               let vanished = Association.reset_chunk assoc d in
               List.iter (fun oid -> drop_if_orphaned view assoc oid) vanished)
             [ d1; d2; d3 ];
-          Association.assoc_halves assoc r.oid ~obj_size:size ~chunk1:d1
+          Association.assoc_halves assoc oid ~obj_size:size ~chunk1:d1
             ~chunk2:d3;
           Association.set_middle assoc d2;
           if audit then begin

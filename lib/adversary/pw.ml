@@ -26,36 +26,29 @@ let program ?steps ~m ~n () =
       let view = View.create driver in
       (* step 0: fill with unit objects *)
       for _ = 1 to m do
-        ignore (View.alloc view ~size:1 : View.record)
+        ignore (View.alloc view ~size:1 : Pc_heap.Oid.t)
       done;
       for i = 1 to steps do
         let chunk = 1 lsl i in
-        (* Keep the smallest record per chunk (by original address);
-           free the rest. Records spanning several chunks pin the
+        (* Keep the smallest object per chunk (by original address);
+           free the rest. Objects spanning several chunks pin the
            chunk of their first word. *)
-        let keeper : (int, View.record) Hashtbl.t = Hashtbl.create 1024 in
-        View.iter_present view (fun r ->
-            let idx = r.orig_addr / chunk in
+        let keeper = Hashtbl.create 1024 in
+        View.iter_present view (fun oid addr size ->
+            let idx = addr / chunk in
             match Hashtbl.find_opt keeper idx with
-            | None -> Hashtbl.replace keeper idx r
-            | Some best ->
-                if
-                  r.size < best.size
-                  || (r.size = best.size && r.orig_addr < best.orig_addr)
-                then Hashtbl.replace keeper idx r)
-          ;
-        let doomed =
-          View.fold_present view ~init:[] ~f:(fun acc r ->
-              let idx = r.orig_addr / chunk in
-              match Hashtbl.find_opt keeper idx with
-              | Some best when best == r -> acc
-              | Some _ | None -> r :: acc)
-        in
-        List.iter (fun r -> View.free view r) doomed;
+            | None -> Hashtbl.replace keeper idx (oid, addr, size)
+            | Some (_, best_addr, best_size) ->
+                if size < best_size || (size = best_size && addr < best_addr)
+                then Hashtbl.replace keeper idx (oid, addr, size));
+        View.retain view (fun oid addr _ ->
+            match Hashtbl.find_opt keeper (addr / chunk) with
+            | Some (best, _, _) -> Pc_heap.Oid.equal best oid
+            | None -> false);
         (* refill with 2^i-word objects up to the live bound, counting
            ghosts against the budget as in Algorithm 1 line 7 *)
         let count = (m - View.present_words view) / chunk in
         for _ = 1 to count do
-          ignore (View.alloc view ~size:chunk : View.record)
+          ignore (View.alloc view ~size:chunk : Pc_heap.Oid.t)
         done
       done)

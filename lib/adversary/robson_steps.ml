@@ -16,9 +16,6 @@ let[@inline] occupies ~f ~step addr size =
   let modulus = 1 lsl step in
   size >= modulus || (f - addr) land (modulus - 1) < size
 
-let occupying ~f ~step (r : View.record) =
-  occupies ~f ~step r.orig_addr r.size
-
 (* The wasted-space objective of Algorithm 2 line 4 for offset
    candidate [f]. *)
 let wasted_space view ~f ~step =
@@ -40,13 +37,13 @@ let step view ~m ~prev_f ~step:i =
   let f = if gain > 0 then f1 else f0 in
   (* Free every live or ghost object that is not f-occupying, in the
      reverse of the view's order (which the event stream follows). *)
-  View.retain view (fun addr size -> occupies ~f ~step:i addr size);
+  View.retain view (fun _ addr size -> occupies ~f ~step:i addr size);
   (* Refill: floor((M - present)/2^i) objects of size 2^i. Ghosts count
      against the refill (Algorithm 1 line 7), which keeps the program
      safely below its live bound. *)
   let count = (m - View.present_words view) / modulus in
   for _ = 1 to count do
-    ignore (View.alloc view ~size:modulus : View.record)
+    ignore (View.alloc view ~size:modulus : Pc_heap.Oid.t)
   done;
   f
 
@@ -61,7 +58,7 @@ let occupying_count view ~f ~step =
 let run ?observe view ~m ~steps =
   if steps < 0 then invalid_arg "Robson_steps.run: negative step count";
   for _ = 1 to m - View.present_words view do
-    ignore (View.alloc view ~size:1 : View.record)
+    ignore (View.alloc view ~size:1 : Pc_heap.Oid.t)
   done;
   let emit i f =
     match observe with Some g -> g ~step:i ~f | None -> ()

@@ -1,18 +1,14 @@
 (** The step engine of Robson's bad program [P_R] (Algorithm 2), in
     the ghost-hardened form used by stage 1 of [P_F]. *)
 
-val occupying : f:int -> step:int -> View.record -> bool
-(** Is the object [f]-occupying with respect to [step]
-    (Definition 4.2): does it cover a word congruent to [f] modulo
-    [2{^step}] at its original address? *)
+val occupies : f:int -> step:int -> int -> int -> bool
+(** [occupies ~f ~step addr size]: is an object of [size] words at
+    [addr] [f]-occupying with respect to [step] (Definition 4.2), that
+    is, does it cover a word congruent to [f] modulo [2{^step}]? *)
 
 val wasted_space : View.t -> f:int -> step:int -> int
 (** Algorithm 2's objective: [Σ (2{^step} − |o|)] over [f]-occupying
     live and ghost objects. *)
-
-val step : View.t -> m:int -> prev_f:int -> step:int -> int
-(** One offset choice + de-allocation + refill step; returns the
-    chosen offset [f_step]. *)
 
 val occupying_count : View.t -> f:int -> step:int -> int
 (** Number of live-or-ghost [f]-occupying objects — the quantity

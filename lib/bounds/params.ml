@@ -7,10 +7,6 @@ type t = { m : int; n : int; c : float }
 let kb = 1 lsl 10
 let mb = 1 lsl 20
 
-let pp ppf { m; n; c } =
-  Fmt.pf ppf "M=%d n=%d c=%g (M=2^%.0f, n=2^%.0f)" m n c (Logf.log2i m)
-    (Logf.log2i n)
-
 (* Figure 1: M = 256MB, n = 1MB, c swept over [10, 100]. *)
 let fig1 ~c = { m = 256 * mb; n = mb; c }
 let fig1_cs = List.init 19 (fun i -> float_of_int (10 + (5 * i)))
@@ -24,7 +20,5 @@ let fig2_ns = List.init 21 (fun i -> kb lsl i)
 let fig3 ~c = fig1 ~c
 let fig3_cs = fig1_cs
 
-(* Simulation scale: small enough that PF's stage 1 (M unit objects)
-   runs in milliseconds, large enough that the bound is non-trivial. *)
-let sim ?(m = 1 lsl 14) ?(n = 1 lsl 6) ~c () = { m; n; c }
+(* The c values of the simulation sweeps. *)
 let sim_cs = [ 8.0; 16.0; 32.0; 64.0 ]

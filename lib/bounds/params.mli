@@ -6,7 +6,6 @@ type t = { m : int  (** live-space bound M *); n : int; c : float }
 
 val kb : int
 val mb : int
-val pp : Format.formatter -> t -> unit
 
 val fig1 : c:float -> t
 (** M = 256 MB, n = 1 MB. *)
@@ -22,8 +21,5 @@ val fig2_ns : int list
 
 val fig3 : c:float -> t
 val fig3_cs : float list
-
-val sim : ?m:int -> ?n:int -> c:float -> unit -> t
-(** Laptop-scale defaults M = 2{^14}, n = 2{^6}. *)
 
 val sim_cs : float list

@@ -21,7 +21,6 @@
       {!Telemetry}. *)
 
 module Word = Pc_heap.Word
-module Interval = Pc_heap.Interval
 module Oid = Pc_heap.Oid
 module Free_index = Pc_heap.Free_index
 module Heap = Pc_heap.Heap

@@ -297,4 +297,3 @@ let to_float = function
 
 let to_string_opt = function String s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function List l -> Some l | _ -> None

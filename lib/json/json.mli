@@ -35,4 +35,3 @@ val to_float : t -> float option
 
 val to_string_opt : t -> string option
 val to_bool : t -> bool option
-val to_list : t -> t list option

@@ -13,9 +13,6 @@ open Pc_heap
    is the theorem in action. *)
 let move_cap_factor = 2.0
 
-(* Candidate windows tried per allocation. *)
-let max_attempts = 3
-
 (* Tiny allocations share eviction work: clearing a 64-word window for
    a 1-word request leaves the remainder as a gap for the requests
    that follow. *)
@@ -34,7 +31,6 @@ let make () =
           let move_cap = int_of_float (move_cap_factor *. float window) in
           match
             Evict.try_evict evict ctx ~size:window ~align:window ~move_cap
-              ~max_attempts
           with
           | Some a -> a
           | None ->

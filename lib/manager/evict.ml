@@ -193,15 +193,12 @@ let window_candidates ws ctx ~size ~align =
   candidates_capped ~cost_cap:max_int ws ctx ~size ~align
 
 (* Default relocation target: lowest-addressed existing gap that does
-   not overlap the window being cleared. *)
-let relocate_first_fit ctx ~avoid (o : Heap.obj) =
+   not overlap the window [window_start, window_stop) being cleared. *)
+let relocate_first_fit ctx ~window_start ~window_stop (o : Heap.obj) =
   let free = Ctx.free_index ctx in
   match Free_index.first_fit_gap free ~size:o.size with
-  | Some a when a + o.size <= Interval.start avoid || a >= Interval.stop avoid
-    ->
-      Some a
-  | Some _ ->
-      Free_index.first_fit_from free ~from:(Interval.stop avoid) ~size:o.size
+  | Some a when a + o.size <= window_start || a >= window_stop -> Some a
+  | Some _ -> Free_index.first_fit_from free ~from:window_stop ~size:o.size
   | None -> None
 
 type decline = No_candidate | Relocation | Budget_spent | Attempts
@@ -215,11 +212,12 @@ type decline = No_candidate | Relocation | Budget_spent | Attempts
 let clear_window ctx ~relocate ~size start =
   T.Counter.incr attempts_c;
   let heap = Ctx.heap ctx in
-  let avoid = Interval.of_extent ~start ~len:size in
   let rec relocate_all = function
     | [] -> Ok start
     | (o : Heap.obj) :: rest -> (
-        match relocate ctx ~avoid o with
+        match
+          relocate ctx ~window_start:start ~window_stop:(start + size) o
+        with
         | None -> Error Relocation
         | Some _ when not (Heap.can_move heap o.size) -> Error Budget_spent
         | Some dst ->
@@ -241,9 +239,12 @@ let rec first_cleared ctx ~relocate ~size attempts last = function
       | Ok _ as cleared -> cleared
       | Error why -> first_cleared ctx ~relocate ~size (attempts - 1) why rest)
 
+(* Candidate windows tried per allocation. *)
+let max_attempts = 3
+
 (* Clear one window and return its start address, or [None] when no
    candidate window can be cleared within [move_cap] words of budget. *)
-let try_evict ?(max_attempts = 3) ?(relocate = relocate_first_fit) ws ctx
+let try_evict ?(relocate = relocate_first_fit) ws ctx
     ~size ~align ~move_cap =
   let heap = Ctx.heap ctx in
   let cap = min move_cap (Heap.available heap) in

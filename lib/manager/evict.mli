@@ -28,14 +28,21 @@ val window_candidates : t -> Ctx.t -> size:int -> align:int -> candidate list
     it; the result is the same as a fresh scan's. *)
 
 val relocate_first_fit :
-  Ctx.t -> avoid:Pc_heap.Interval.t -> Pc_heap.Heap.obj -> int option
+  Ctx.t ->
+  window_start:int ->
+  window_stop:int ->
+  Pc_heap.Heap.obj ->
+  int option
 (** Default relocation target: lowest-addressed existing gap disjoint
-    from [avoid]. *)
+    from the window [\[window_start, window_stop)] being cleared. *)
 
 val try_evict :
-  ?max_attempts:int ->
   ?relocate:
-    (Ctx.t -> avoid:Pc_heap.Interval.t -> Pc_heap.Heap.obj -> int option) ->
+    (Ctx.t ->
+    window_start:int ->
+    window_stop:int ->
+    Pc_heap.Heap.obj ->
+    int option) ->
   t ->
   Ctx.t ->
   size:int ->
@@ -48,5 +55,5 @@ val try_evict :
     cleared window. An attempt fails when an object has nowhere to go
     or when the budget left can no longer pay for its move; objects
     already moved when an attempt fails stay moved (the heap remains
-    valid). At most [max_attempts] candidate windows are tried. A
+    valid). At most 3 candidate windows are tried. A
     [None] counts one [evict.declined_*] reason. *)

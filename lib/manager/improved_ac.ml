@@ -16,26 +16,23 @@ open Pc_heap
       aligned-first-fit;
    3. else, extend at the (aligned) frontier.
 
-   Windows are at least [min_window] words and at most [max_attempts]
-   candidates are tried per allocation, as in [Compacting].
+   Windows are at least [min_window] words and, as in [Compacting], at
+   most [Evict]'s three candidates are tried per allocation.
 
    See DESIGN.md, "Substitutions". *)
 
 let theta = 4.0
-let max_attempts = 3
 let min_window = 64
 
 let make () =
-  let relocate ctx ~avoid (o : Heap.obj) =
+  let relocate ctx ~window_start ~window_stop (o : Heap.obj) =
     let free = Ctx.free_index ctx in
     let align = Word.round_up_pow2 o.size in
     match Free_index.first_aligned_fit_gap free ~size:o.size ~align with
-    | Some a
-      when a + o.size <= Interval.start avoid || a >= Interval.stop avoid ->
-        Some a
+    | Some a when a + o.size <= window_start || a >= window_stop -> Some a
     | Some _ ->
-        Free_index.first_aligned_fit_from free ~from:(Interval.stop avoid)
-          ~size:o.size ~align
+        Free_index.first_aligned_fit_from free ~from:window_stop ~size:o.size
+          ~align
     | None -> None
   in
   let alloc evict ctx ~size =
@@ -55,7 +52,7 @@ let make () =
           in
           match
             Evict.try_evict evict ctx ~size:window ~align:window ~move_cap
-              ~max_attempts ~relocate
+              ~relocate
           with
           | Some a -> a
           | None -> Word.align_up (Free_index.frontier free) ~align

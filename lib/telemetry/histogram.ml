@@ -43,10 +43,6 @@ let zeros t = Atomic.get t.zeros
 let min_value t = if count t = 0 then 0 else Atomic.get t.min
 let max_value t = if count t = 0 then 0 else Atomic.get t.max
 
-let mean t =
-  let n = count t in
-  if n = 0 then 0.0 else float_of_int (sum t) /. float_of_int n
-
 (* floor(log2 v) for v >= 1. *)
 let bucket_index v =
   if v < 1 then invalid_arg "Histogram.bucket_index: sample < 1";

@@ -19,7 +19,6 @@ val sum : t -> int
 val zeros : t -> int
 val min_value : t -> int
 val max_value : t -> int
-val mean : t -> float
 
 val nbuckets : int
 

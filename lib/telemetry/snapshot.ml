@@ -33,7 +33,6 @@ type t = {
   spans : span list;
 }
 
-let empty = { level = "off"; counters = []; gauges = []; histograms = []; spans = [] }
 
 (* JSON encoding *)
 

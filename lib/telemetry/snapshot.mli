@@ -33,7 +33,6 @@ type t = {
   spans : span list;
 }
 
-val empty : t
 val to_json : t -> Pc_json.Json.t
 
 val of_json : Pc_json.Json.t -> (t, string) result

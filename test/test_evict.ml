@@ -55,13 +55,12 @@ let test_relocate_avoids_window () =
      target for a 2-word object would be 28 (fine), but for a 40-word
      object the only gap big enough starts inside the window —
      relocation must resume at 64 ([64,104) fits within [36,120)). *)
-  let avoid = Interval.of_extent ~start:32 ~len:32 in
   let small = { Heap.oid = Oid.of_int 99; addr = 34; size = 2 } in
   Alcotest.(check (option int)) "small object to early gap" (Some 28)
-    (Evict.relocate_first_fit ctx ~avoid small);
+    (Evict.relocate_first_fit ctx ~window_start:32 ~window_stop:64 small);
   let large = { Heap.oid = Oid.of_int 98; addr = 34; size = 40 } in
   Alcotest.(check (option int)) "large object past the window" (Some 64)
-    (Evict.relocate_first_fit ctx ~avoid large);
+    (Evict.relocate_first_fit ctx ~window_start:32 ~window_stop:64 large);
   ignore heap
 
 (* Layout with no fully-free aligned 32-word window: the cheapest

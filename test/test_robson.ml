@@ -1,4 +1,3 @@
-open Pc_heap
 open Pc_adversary
 
 (* Robson's adversary and the occupying-offset machinery. The headline
@@ -6,21 +5,20 @@ open Pc_adversary
    or exceeds Robson's bound M*(1/2*log n + 1) - n + 1, and first fit
    achieves it exactly. *)
 
-let record ~addr ~size : View.record =
-  { oid = Oid.of_int 0; orig_addr = addr; size; ghost = false }
-
 let test_occupying () =
   (* step 3: modulus 8, f = 5: object covers a word = 5 mod 8? *)
-  let check name expect r f =
-    Alcotest.(check bool) name expect (Robson_steps.occupying ~f ~step:3 r)
+  let check name expect ~addr ~size f =
+    Alcotest.(check bool)
+      name expect
+      (Robson_steps.occupies ~f ~step:3 addr size)
   in
-  check "covers its own word" true (record ~addr:5 ~size:1) 5;
-  check "misses" false (record ~addr:6 ~size:1) 5;
-  check "crosses residue" true (record ~addr:3 ~size:4) 5;
-  check "stops short" false (record ~addr:3 ~size:2) 5;
-  check "next period" true (record ~addr:12 ~size:2) 5;
-  check "large always occupies" true (record ~addr:0 ~size:8) 5;
-  check "wraps below" true (record ~addr:20 ~size:2) 5
+  check "covers its own word" true ~addr:5 ~size:1 5;
+  check "misses" false ~addr:6 ~size:1 5;
+  check "crosses residue" true ~addr:3 ~size:4 5;
+  check "stops short" false ~addr:3 ~size:2 5;
+  check "next period" true ~addr:12 ~size:2 5;
+  check "large always occupies" true ~addr:0 ~size:8 5;
+  check "wraps below" true ~addr:20 ~size:2 5
 (* addr 20: next 5 mod 8 word is 21 < 22 *)
 
 let test_wasted_space_objective () =
