@@ -41,9 +41,20 @@ let alloc t ~size =
   let oid = Heap.alloc heap ~addr ~size in
   (oid, addr, moves)
 
+(* A manager with no free hook needs no record of the freed object. *)
 let free t oid =
-  let o = Heap.get (heap t) oid in
-  Heap.free (heap t) oid;
-  Manager.on_free t.manager t.ctx o
+  let heap = heap t in
+  if Manager.has_free_hook t.manager then begin
+    let o = Heap.get heap oid in
+    Heap.free heap oid;
+    Manager.on_free t.manager t.ctx o
+  end
+  else Heap.free heap oid
+
+(* Untraced and hook-free, a batch of frees leaves the same heap in
+   any order: the gap set is canonical and every free bumps the free
+   index's epoch once. Only a listener or a hook could tell. *)
+let frees_commute t =
+  not (Heap.has_listeners (heap t) || Manager.has_free_hook t.manager)
 
 let high_water t = Heap.high_water (heap t)

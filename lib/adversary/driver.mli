@@ -20,6 +20,12 @@ val alloc : t -> size:int -> Pc_heap.Oid.t * int * move_note list
     Raises {!Live_bound_exceeded} if the program would exceed [M]. *)
 
 val free : t -> Pc_heap.Oid.t -> unit
+
+val frees_commute : t -> bool
+(** [true] iff nothing can observe the order of a batch of {!free}s:
+    the heap has no listener and the manager no [on_free] hook. Such a
+    batch leaves the same heap whatever its order. *)
+
 val heap : t -> Pc_heap.Heap.t
 val live_bound : t -> int
 val live_words : t -> int

@@ -32,19 +32,28 @@ let program ?steps ~m ~n () =
         let chunk = 1 lsl i in
         (* Keep the smallest object per chunk (by original address);
            free the rest. Objects spanning several chunks pin the
-           chunk of their first word. *)
-        let keeper = Hashtbl.create 1024 in
+           chunk of their first word. Every original address lies
+           below the high-water mark, so the chunks are dense ints
+           and the keeper is three int arrays indexed by chunk: its
+           oid (-1 for none yet), original address and size. Ties of
+           size and address go to the first in the view's order. *)
+        let chunks = (Driver.high_water driver / chunk) + 1 in
+        let best = Array.make chunks (-1)
+        and best_addr = Array.make chunks 0
+        and best_size = Array.make chunks 0 in
         View.iter_present view (fun oid addr size ->
             let idx = addr / chunk in
-            match Hashtbl.find_opt keeper idx with
-            | None -> Hashtbl.replace keeper idx (oid, addr, size)
-            | Some (_, best_addr, best_size) ->
-                if size < best_size || (size = best_size && addr < best_addr)
-                then Hashtbl.replace keeper idx (oid, addr, size));
+            if
+              best.(idx) < 0
+              || size < best_size.(idx)
+              || (size = best_size.(idx) && addr < best_addr.(idx))
+            then begin
+              best.(idx) <- Pc_heap.Oid.to_int oid;
+              best_addr.(idx) <- addr;
+              best_size.(idx) <- size
+            end);
         View.retain view (fun oid addr _ ->
-            match Hashtbl.find_opt keeper (addr / chunk) with
-            | Some (best, _, _) -> Pc_heap.Oid.equal best oid
-            | None -> false);
+            best.(addr / chunk) = Pc_heap.Oid.to_int oid);
         (* refill with 2^i-word objects up to the live bound, counting
            ghosts against the budget as in Algorithm 1 line 7 *)
         let count = (m - View.present_words view) / chunk in

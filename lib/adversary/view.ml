@@ -16,11 +16,12 @@ open Pc_heap
    further action.
 
    Storage is indexed by oid (oids are the heap's dense sequential
-   ints). [iter_present]/[retain] must still visit objects in exactly
-   the order an [Oid.Table] ([Hashtbl.Make] over [Hashtbl.hash])
-   created with size 1024 would: the programs' choices follow that
-   order (which ghost is freed first, which object a chunk keeps), and
-   so do the event streams the behaviour lock pins. That order is a
+   ints). [iter_present] must still visit objects in exactly the order
+   an [Oid.Table] ([Hashtbl.Make] over [Hashtbl.hash]) created with
+   size 1024 would: the programs' choices follow that order (which
+   ghost is freed first, which object a chunk keeps), and so do the
+   event streams the behaviour lock pins, which is why [retain] frees
+   in that order whenever a listener or hook can see it. That order is a
    sort key ([Table_order]), so no bucket chain is kept: present oids
    ascending by [Hashtbl.hash oid land (nb - 1)], then descending by
    oid, with [nb] from 1024. Newest first is descending oid because the
@@ -105,27 +106,40 @@ let free t oid =
   forget t o;
   if not (ghost_at t o) then Driver.free t.driver oid
 
-(* [keep] runs on every object in table order first, and the doomed
-   gather at the front of [order]. Then all of them are forgotten, and
-   only then are the live ones freed, in the reverse of that order.
-   Keeping the view's writes and the heap's frees in separate passes
-   keeps each pass's working set small. *)
+(* When nothing can observe the free order ([Driver.frees_commute]),
+   one pass in ascending oid order, read sequentially, judges, forgets
+   and frees each object in turn. Otherwise [keep] runs on every object
+   in table order first, and the doomed gather at the front of
+   [order]. Then all of them are forgotten, and only then are the live
+   ones freed, in the reverse of that order. Keeping the view's writes
+   and the heap's frees in separate passes keeps each pass's working
+   set small. *)
 let retain t keep =
-  let order = sorted_present t and doomed = ref 0 in
-  for k = 0 to Array.length order - 1 do
-    let o = Array.unsafe_get order k in
-    if not (keep (Oid.of_int o) (addr_at t o) (size_at t o)) then begin
-      Array.unsafe_set order !doomed o;
-      incr doomed
-    end
-  done;
-  for k = 0 to !doomed - 1 do
-    forget t (Array.unsafe_get order k)
-  done;
-  for k = !doomed - 1 downto 0 do
-    let o = Array.unsafe_get order k in
-    if not (ghost_at t o) then Driver.free t.driver (Oid.of_int o)
-  done
+  if Driver.frees_commute t.driver then
+    for o = 0 to t.hi - 1 do
+      let size = size_at t o in
+      if size > 0 && not (keep (Oid.of_int o) (addr_at t o) size) then begin
+        forget t o;
+        if not (ghost_at t o) then Driver.free t.driver (Oid.of_int o)
+      end
+    done
+  else begin
+    let order = sorted_present t and doomed = ref 0 in
+    for k = 0 to Array.length order - 1 do
+      let o = Array.unsafe_get order k in
+      if not (keep (Oid.of_int o) (addr_at t o) (size_at t o)) then begin
+        Array.unsafe_set order !doomed o;
+        incr doomed
+      end
+    done;
+    for k = 0 to !doomed - 1 do
+      forget t (Array.unsafe_get order k)
+    done;
+    for k = !doomed - 1 downto 0 do
+      let o = Array.unsafe_get order k in
+      if not (ghost_at t o) then Driver.free t.driver (Oid.of_int o)
+    done
+  end
 
 let drop_ghosts t =
   for o = 0 to t.hi - 1 do

@@ -35,10 +35,12 @@ val free : t -> Pc_heap.Oid.t -> unit
 
 val retain : t -> (Pc_heap.Oid.t -> int -> int -> bool) -> unit
 (** [retain t keep] frees, as {!free} does, every present object for
-    which [keep oid orig_addr size] is false. [keep] runs on every
-    object in {!iter_present}'s order before anything is freed; the
-    heap frees then come in the reverse of that order. [keep] must not
-    use the view. *)
+    which [keep oid orig_addr size] is false. [keep] must be pure and
+    use neither the view nor the heap: it may run on the objects in
+    any order, interleaved with the frees. The heap frees come in the
+    reverse of {!iter_present}'s order whenever something can observe
+    them (a heap listener or the manager's [on_free] hook, see
+    {!Driver.frees_commute}), and in ascending oid order otherwise. *)
 
 val drop_ghosts : t -> unit
 (** Free every ghost, as {!free} does. Ghost frees emit no heap event

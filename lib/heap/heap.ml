@@ -308,32 +308,33 @@ let occupied_words_in t ~start ~stop =
   sum_objects_in t ~start ~stop (fun a o ->
       min stop (a + size_of t o) - max start a)
 
+(* One walk of the live objects in address order, straight from
+   [starts] and [ext], with no snapshot. *)
 let check_invariants t =
   Free_index.check_invariants t.free;
+  let frontier = Free_index.frontier t.free in
   let total = ref 0 and prev_stop = ref 0 and count = ref 0 in
-  iter_live t (fun o ->
-      if o.addr < !prev_stop then failwith "Heap: overlapping objects";
-      if Free_index.is_free t.free ~addr:o.addr ~len:o.size then
+  let occupied_below = ref 0 in
+  Bitset.iter t.starts (fun a ->
+      let oid = oid_at t a in
+      let addr = addr_of t oid and size = size_of t oid in
+      if addr < !prev_stop then failwith "Heap: overlapping objects";
+      if Free_index.is_free t.free ~addr ~len:size then
         failwith "Heap: live object marked free";
-      if
-        (not (is_live t o.oid))
-        || addr_of t (Oid.to_int o.oid) <> o.addr
-        || oid_at t o.addr <> Oid.to_int o.oid
-      then failwith "Heap: extent-table drift";
-      prev_stop := o.addr + o.size;
-      total := !total + o.size;
-      incr count);
+      if addr < 0 || oid_at t addr <> oid then
+        failwith "Heap: extent-table drift";
+      prev_stop := addr + size;
+      total := !total + size;
+      incr count;
+      (* Every word below the frontier is either free or covered by an
+         object; check by comparing word counts. *)
+      occupied_below :=
+        !occupied_below
+        + max 0 (min frontier (addr + size) - min frontier addr));
   if !total <> t.live_words then failwith "Heap: live_words drift";
   if !count <> t.nlive then failwith "Heap: object-table drift";
   if !prev_stop > t.high_water then failwith "Heap: high_water too low";
-  (* Every word below the frontier is either free or covered by an
-     object; check by comparing word counts. *)
-  let frontier = Free_index.frontier t.free in
-  let occupied_below =
-    fold_live t ~init:0 ~f:(fun acc o ->
-        acc + max 0 (min frontier (o.addr + o.size) - min frontier o.addr))
-  in
-  if occupied_below + Free_index.free_below_frontier t.free <> frontier
+  if !occupied_below + Free_index.free_below_frontier t.free <> frontier
   then failwith "Heap: free/occupied words do not tile the frontier"
 
 let pp_obj = Heap_types.pp_obj

@@ -40,4 +40,5 @@ let name t = t.name
 let description t = t.description
 let alloc t ctx ~size = t.alloc ctx ~size
 let on_free t ctx obj = t.on_free ctx obj
+let has_free_hook t = t.on_free != no_free_hook
 let pp ppf t = Fmt.string ppf t.name

@@ -38,4 +38,9 @@ val alloc : t -> Ctx.t -> size:int -> int
     extent must be free once the manager's moves are done. *)
 
 val on_free : t -> Ctx.t -> Pc_heap.Heap.obj -> unit
+
+val has_free_hook : t -> bool
+(** [false] iff the manager was made without an [on_free], so the
+    order in which objects are freed is invisible to it. *)
+
 val pp : Format.formatter -> t -> unit

@@ -116,6 +116,45 @@ let test_untraced_run_has_no_listener () =
   ignore (Runner.run ~c:8.0 ~program ~manager:probe () : Runner.outcome);
   Alcotest.(check bool) "no listener" false !listened
 
+(* [inner] with a no-op heap listener attached at its first request,
+   and its free hook (if any) passed through. *)
+let listened inner =
+  let on_free =
+    if Manager.has_free_hook inner then
+      Some (fun () ctx o -> Manager.on_free inner ctx o)
+    else None
+  in
+  Manager.stateful ~name:(Manager.name inner)
+    ~init:(fun ctx -> Heap.on_event (Ctx.heap ctx) ignore)
+    ?on_free
+    (fun () ctx ~size -> Manager.alloc inner ctx ~size)
+
+(* The view frees a step's doomed objects in ascending oid order when
+   nothing can observe the order, and in reverse table order under a
+   listener; both must reach the same outcome, for every registry
+   manager against P_R, P_F and P_W. *)
+let test_free_order_unobservable () =
+  let module Spec = Pc_exec.Spec in
+  let m = 1 lsl 14 in
+  List.iter
+    (fun manager ->
+      List.iter
+        (fun (spec : Spec.t) ->
+          let untraced = Spec.run spec in
+          let with_listener =
+            Runner.run ?c:spec.c ~program:(Spec.build spec)
+              ~manager:(listened (Spec.manager spec))
+              ()
+          in
+          Alcotest.check Helpers.outcome (Spec.key spec) untraced
+            with_listener)
+        [
+          Spec.robson ~manager ~m ~n:(1 lsl 8) ();
+          Spec.pf ~c:16. ~manager ~m ~n:(1 lsl 9) ();
+          Spec.pw ~c:8. ~manager ~m ~n:(1 lsl 8) ();
+        ])
+    (Registry.keys ())
+
 let test_runner_accounting () =
   let program =
     simple_program ~live_bound:100 ~max_size:10 (fun driver ->
@@ -203,6 +242,8 @@ let () =
           Alcotest.test_case "untraced run attaches no listener" `Quick
             test_untraced_run_has_no_listener;
           Alcotest.test_case "program validation" `Quick test_program_validation;
+          Alcotest.test_case "free order unobservable" `Quick
+            test_free_order_unobservable;
         ] );
       ( "view",
         [ Alcotest.test_case "ghost discipline" `Quick test_view_ghost_discipline ] );

@@ -159,6 +159,76 @@ let prop_hashtbl_order =
     QCheck.(pair small_nat (int_range 6000 6300))
     run_case
 
+(* What a run leaves: the view (its order, each object's address, size
+   and ghost flag, and its present words) and the heap (its live
+   objects, gaps and frontier). *)
+let snapshot view heap =
+  let objs = ref [] in
+  View.iter_present view (fun oid addr size ->
+      objs := (oid, addr, size, View.is_ghost view oid) :: !objs);
+  let free = Heap.free_index heap in
+  ( List.rev !objs,
+    View.present_words view,
+    Heap.live_list heap,
+    Free_index.gaps free,
+    Free_index.frontier free )
+
+(* The random alloc/free/ghost script above, without its shadow, with
+   or without a (no-op) heap listener. Without one, [View.retain]
+   frees in ascending oid order; with one, in reverse table order. The
+   result is the snapshot after every retain and at the end. *)
+let run_script ~listen (seed, steps) =
+  let rng = Random.State.make [| seed |] in
+  let snaps = ref [] in
+  let program =
+    Helpers.simple_program ~live_bound:(1 lsl 20) ~max_size:4 (fun driver ->
+        let view = View.create driver and heap = Driver.heap driver in
+        if listen then Heap.on_event heap ignore;
+        if Driver.frees_commute driver = listen then
+          Alcotest.fail "frees_commute disagrees with the listener";
+        let pool = ref [||] and n = ref 0 in
+        let push oid =
+          if !n = Array.length !pool then
+            pool := Array.append !pool (Array.make (max 16 !n) oid);
+          !pool.(!n) <- oid;
+          incr n
+        in
+        let refill_pool () =
+          n := 0;
+          View.iter_present view (fun oid _ _ -> push oid)
+        in
+        for step_no = 1 to steps do
+          if step_no mod 1500 = 0 then begin
+            View.retain view (fun _ addr size -> (addr + size) land 15 <> 0);
+            snaps := snapshot view heap :: !snaps;
+            refill_pool ()
+          end
+          else if step_no mod 1500 = 750 then begin
+            View.drop_ghosts view;
+            refill_pool ()
+          end
+          else if !n = 0 || Random.State.int rng 16 > 0 then
+            push (View.alloc view ~size:(1 + Random.State.int rng 4))
+          else begin
+            let i = Random.State.int rng !n in
+            let oid = !pool.(i) in
+            !pool.(i) <- !pool.(!n - 1);
+            decr n;
+            View.free view oid
+          end
+        done;
+        snaps := snapshot view heap :: !snaps)
+  in
+  ignore
+    (Runner.run ~program ~manager:(mover rng ~move_every:8) ()
+      : Runner.outcome);
+  List.rev !snaps
+
+let prop_free_order_unobservable =
+  QCheck.Test.make ~count:2 ~name:"retain's two free orders agree"
+    QCheck.(pair small_nat (int_range 6000 6300))
+    (fun case -> run_script ~listen:false case = run_script ~listen:true case)
+
 (* The view keeps no record per object, so alloc and free promote
    nothing: 10k allocs, a forced minor collection while all of them
    are present, then 10k frees, after an earlier batch of the same
@@ -198,7 +268,11 @@ let test_alloc_free_promote_nothing () =
 let () =
   Alcotest.run "view"
     [
-      ("order", [ QCheck_alcotest.to_alcotest prop_hashtbl_order ]);
+      ( "order",
+        [
+          QCheck_alcotest.to_alcotest prop_hashtbl_order;
+          QCheck_alcotest.to_alcotest prop_free_order_unobservable;
+        ] );
       ( "promotion",
         [
           Alcotest.test_case "alloc and free promote nothing" `Quick
