@@ -20,10 +20,14 @@ open Pc_heap
    - Per chunk number: the head of its entry list, the entry-size sum,
      and [Hashtbl.hash k] while the chunk carries state. A member of E
      never has entries; its head says so.
-   - Entries are nodes of one pooled, doubly linked int list: the entry
-     [oid·2 + half] packed with the log2 of the object size (every size
-     is a power of two), next, prev and the chunk. Freed nodes are
-     reused; [pack] renumbers them so each chunk's list is one run.
+   - Entries are nodes of one pool of singly linked int lists: the
+     entry [oid·2 + half] packed with the log2 of the object size
+     (every size is a power of two), next and the chunk. A new node goes
+     at the pool's end and at its list's front; a removed one is marked
+     (chunk -1) where it stands, and walks skip it. [merge_step] is the
+     only thing that lays the pool out: it copies the live nodes into a
+     spare pool, chunks ascending, so each chunk's list is one run, and
+     the two pools swap.
    - Per oid, two node slots: an object never has more than two
      entries, at most one per chunk.
 
@@ -59,12 +63,11 @@ let c_sum = 1
 let c_key = 2
 
 (* Node cells: the entry and the log2 of its object size, packed as
-   [entry lsl 6 lor log]; next; prev; the chunk, -1 while free. *)
-let n_stride = 4
+   [entry lsl 6 lor log]; next; the chunk, -1 once removed. *)
+let n_stride = 3
 let n_val = 0
 let n_next = 1
-let n_prev = 2
-let n_chunk = 3
+let n_chunk = 2
 
 type t = {
   ell : int; (* density exponent: target density 2^-ell *)
@@ -75,8 +78,9 @@ type t = {
   mutable nb : int; (* the table's bucket count *)
   mutable hi : int; (* no chunk at or above [hi] carries state *)
   mutable node : Chunked.t;
-  mutable nodes : int; (* nodes ever handed out *)
-  mutable free : int; (* free nodes, linked through [n_next] *)
+  mutable spare : Chunked.t; (* the pool [merge_step] lays out next *)
+  mutable nodes : int; (* nodes in [node], live or removed *)
+  mutable removed : int; (* removed nodes since the last layout *)
   slots : Chunked.t; (* oid*2 + s -> node or [none], s = 0, 1 *)
   mutable oid_hi : int; (* no oid at or above [oid_hi] has a slot *)
 }
@@ -92,8 +96,9 @@ let create ~chunk_log ~ell =
     nb = 256;
     hi = 0;
     node = Chunked.create ~fill:(-1);
+    spare = Chunked.create ~fill:(-1);
     nodes = 0;
-    free = none;
+    removed = 0;
     slots = Chunked.create ~fill:none;
     oid_hi = 0;
   }
@@ -107,13 +112,12 @@ let[@inline] set_head t idx n = cset t idx c_head (n + 1)
 let[@inline] present t idx = cget t idx c_key > 0
 let[@inline] nget t n f = Chunked.get t.node ((n * n_stride) + f)
 let[@inline] nset t n f v = Chunked.set t.node ((n * n_stride) + f) v
+let[@inline] live t n = nget t n n_chunk >= 0
 let[@inline] entry_at t n = nget t n n_val lsr 6
 
 let[@inline] log2_at t n =
   let v = nget t n n_val in
   (v land 63) - ((v lsr 6) land 1)
-
-let[@inline] set_entry t n e ~log = nset t n n_val ((e lsl 6) lor log)
 
 (* Clear the half bit: the entry's oid stays, its size doubles. *)
 let make_whole t n = nset t n n_val (nget t n n_val land lnot (1 lsl 6))
@@ -133,13 +137,13 @@ let touch t idx =
 let sum t idx = cget t idx c_sum
 let is_middle t idx = head t idx = middle
 
-(* [next] is read before [f] runs, so [f] may unlink the node. *)
+(* [next] is read before [f] runs, so [f] may remove the node. *)
 let iter_entries t idx f =
   let n = ref (head t idx) in
   while !n >= 0 do
     let cur = !n in
     n := nget t cur n_next;
-    f (entry_at t cur) (log2_at t cur)
+    if live t cur then f (entry_at t cur) (log2_at t cur)
   done
 
 let entries t idx =
@@ -178,78 +182,30 @@ let add_slot t o n =
   else invalid_arg "Association: more than two entries for one object";
   if o >= t.oid_hi then t.oid_hi <- o + 1
 
-let drop_slot t o n =
+(* Mark node [n] removed; its chunk's sum is the caller's. *)
+let mark_removed t n =
+  let o = entry_at t n lsr 1 in
   if slot t o 0 = n then Chunked.set t.slots (2 * o) none
-  else Chunked.set t.slots ((2 * o) + 1) none
-
-let release t n =
+  else Chunked.set t.slots ((2 * o) + 1) none;
   nset t n n_chunk (-1);
-  nset t n n_next t.free;
-  t.free <- n
+  t.removed <- t.removed + 1
 
-(* Link node [n] at the front of chunk [idx]'s list; a middle chunk
-   leaves E. *)
-let push t idx n =
+(* A new node at the pool's end and the front of chunk [idx]'s list; a
+   middle chunk leaves E. *)
+let add_entry t idx o ~log ~half =
   touch t idx;
-  let h = head t idx in
-  let h = if h = middle then none else h in
-  nset t n n_next h;
-  nset t n n_prev none;
-  if h >= 0 then nset t h n_prev n;
+  let n = t.nodes and h = head t idx in
+  t.nodes <- n + 1;
+  nset t n n_val (((2 * o) + if half then 1 else 0) lsl 6 lor log);
+  nset t n n_next (if h = middle then none else h);
   nset t n n_chunk idx;
   set_head t idx n;
-  cset t idx c_sum (cget t idx c_sum + (1 lsl log2_at t n))
-
-let unlink t n =
-  let idx = nget t n n_chunk in
-  let next = nget t n n_next and prev = nget t n n_prev in
-  if prev < 0 then set_head t idx next else nset t prev n_next next;
-  if next >= 0 then nset t next n_prev prev;
-  cset t idx c_sum (cget t idx c_sum - (1 lsl log2_at t n))
-
-let add_entry t idx o ~log ~half =
-  let n =
-    if t.free >= 0 then begin
-      let n = t.free in
-      t.free <- nget t n n_next;
-      n
-    end
-    else begin
-      t.nodes <- t.nodes + 1;
-      t.nodes - 1
-    end
-  in
-  set_entry t n ((2 * o) + if half then 1 else 0) ~log;
-  push t idx n;
+  cset t idx c_sum (cget t idx c_sum + (1 lsl log2_at t n));
   add_slot t o n
 
 let assoc_whole t oid ~obj_size ~chunk =
   let log = Pc_bounds.Logf.log2_exact obj_size in
   add_entry t chunk (Oid.to_int oid) ~log ~half:false
-
-(* Renumber the nodes so that each chunk's list is one run of
-   consecutive nodes, chunks ascending; spare nodes go. *)
-let pack t =
-  let node = Chunked.create ~fill:(-1) and m = ref 0 in
-  for idx = 0 to t.hi - 1 do
-    let n = ref (head t idx) in
-    if !n >= 0 then set_head t idx !m;
-    while !n >= 0 do
-      let cur = !n and k = !m in
-      n := nget t cur n_next;
-      let at f v = Chunked.set node ((k * n_stride) + f) v in
-      at n_val (nget t cur n_val);
-      at n_next (if !n >= 0 then k + 1 else none);
-      at n_prev (if nget t cur n_prev >= 0 then k - 1 else none);
-      at n_chunk idx;
-      let o = entry_at t cur lsr 1 in
-      Chunked.set t.slots ((2 * o) + if slot t o 0 = cur then 0 else 1) k;
-      m := k + 1
-    done
-  done;
-  t.node <- node;
-  t.nodes <- !m;
-  t.free <- none
 
 let assoc_halves t oid ~obj_size ~chunk1 ~chunk2 =
   if chunk1 = chunk2 then assoc_whole t oid ~obj_size ~chunk:chunk1
@@ -261,21 +217,25 @@ let assoc_halves t oid ~obj_size ~chunk1 ~chunk2 =
     add_entry t chunk2 o ~log ~half:true
   end
 
+(* Every entry has a positive size, so a zero sum means no entries;
+   removed nodes still on the list leave with it. *)
 let set_middle t idx =
   touch t idx;
-  if head t idx >= 0 then
+  if sum t idx > 0 then
     invalid_arg "Association.set_middle: chunk has entries";
   set_head t idx middle
 
+let remove_node t n =
+  let idx = nget t n n_chunk in
+  cset t idx c_sum (cget t idx c_sum - (1 lsl log2_at t n));
+  mark_removed t n
+
 (* Remove one entry from a chunk. *)
 let remove_entry t idx e =
-  let o = e lsr 1 in
-  let n = node_in t o idx in
+  let n = node_in t (e lsr 1) idx in
   if n < 0 || entry_at t n <> e then
     invalid_arg "Association.remove_entry: entry not found";
-  unlink t n;
-  drop_slot t o n;
-  release t n
+  remove_node t n
 
 (* Reset a chunk for reuse by a fresh allocation (Algorithm 1 line
    14): drop every remaining entry (they are ghosts — a live object
@@ -285,14 +245,11 @@ let remove_entry t idx e =
 let reset_chunk t idx =
   if not (present t idx) then []
   else begin
-    let vanished = ref [] and n = ref (head t idx) in
-    while !n >= 0 do
-      let next = nget t !n n_next and o = entry_at t !n lsr 1 in
-      drop_slot t o !n;
-      if any_node t o < 0 then vanished := Oid.of_int o :: !vanished;
-      release t !n;
-      n := next
-    done;
+    let vanished = ref [] in
+    iter_entries t idx (fun e _ ->
+        let o = e lsr 1 in
+        mark_removed t (node_in t o idx);
+        if any_node t o < 0 then vanished := Oid.of_int o :: !vanished);
     set_head t idx none;
     cset t idx c_sum 0;
     List.rev !vanished
@@ -313,10 +270,9 @@ let migrate_half t ~from_idx e =
   let n = any_node t o in
   if n < 0 then None
   else begin
-    let other = nget t n n_chunk in
-    unlink t n;
-    make_whole t n;
-    push t other n;
+    let other = nget t n n_chunk and log = nget t n n_val land 63 in
+    remove_node t n;
+    add_entry t other o ~log ~half:false;
     Some other
   end
 
@@ -329,17 +285,6 @@ let walk t =
   Array.map_inplace (Chunked.get t.seq) order;
   order
 
-(* Set every node of the list from [n] on chunk [k]; returns the last
-   node, or [none] for an empty list. *)
-let relabel t n k =
-  let last = ref none and n = ref n in
-  while !n >= 0 do
-    nset t !n n_chunk k;
-    last := !n;
-    n := nget t !n n_next
-  done;
-  !last
-
 (* Step change (Algorithm 1 line 12): chunk size doubles, pairs of
    chunks merge, entry sets take unions; two halves of one object
    landing in the same merged chunk become a whole entry. The middle
@@ -347,8 +292,14 @@ let relabel t n k =
 
    Chunk k takes over chunks 2k and 2k+1, in place and in ascending k:
    step k writes only chunk k and reads only chunks 2k and 2k+1, which
-   no earlier step wrote. A node relabelled at an earlier step names a
-   chunk below k, so it never passes for a node of 2k or 2k+1. *)
+   no earlier step wrote. Halves meet in a first pass over every pair,
+   while each node still names its old chunk. A second pass copies the
+   live nodes into the spare pool, first-visited half first, and points
+   each oid's slot at the copy. If the oid's first slot already holds
+   its other entry's new number, equal to the old number being copied,
+   the copy takes the first slot and the second, still holding that
+   number, names the other entry: the slots trade places, which nothing
+   reads. *)
 let merge_step t =
   let order = walk t in
   let old_count = t.count and old_hi = t.hi in
@@ -364,7 +315,42 @@ let merge_step t =
         incr count
       end)
     order;
-  let head_of idx = max none (head t idx) in
+  let new_hi = (old_hi + 1) / 2 in
+  let first k =
+    let ra = cget t (2 * k) c_key and rb = cget t ((2 * k) + 1) c_key in
+    if rb = 0 || (ra > 0 && ra < rb) then 2 * k else (2 * k) + 1
+  in
+  (* Drop the second list's halves whose partner is in the first; the
+     partner becomes whole where it stands, and the sums stay. *)
+  for k = 0 to new_hi - 1 do
+    let f = first k in
+    iter_entries t (f lxor 1) (fun e _ ->
+        if e land 1 = 1 then begin
+          let o = e lsr 1 in
+          let partner = node_in t o f in
+          if partner >= 0 then begin
+            mark_removed t (node_in t o (f lxor 1));
+            make_whole t partner
+          end
+        end)
+  done;
+  let dst = t.spare and m = ref 0 in
+  let copy k idx =
+    let n = ref (head t idx) in
+    while !n >= 0 do
+      let cur = !n in
+      n := nget t cur n_next;
+      if live t cur then begin
+        let j = !m in
+        Chunked.set dst (j * n_stride) (nget t cur n_val);
+        Chunked.set dst ((j * n_stride) + n_next) (j + 1);
+        Chunked.set dst ((j * n_stride) + n_chunk) k;
+        let o = entry_at t cur lsr 1 in
+        Chunked.set t.slots ((2 * o) + if slot t o 0 = cur then 0 else 1) j;
+        m := j + 1
+      end
+    done
+  in
   let clear idx =
     if present t idx then begin
       set_head t idx none;
@@ -372,50 +358,15 @@ let merge_step t =
       cset t idx c_key 0
     end
   in
-  let new_hi = (old_hi + 1) / 2 in
   for k = 0 to new_hi - 1 do
-    let ra = cget t (2 * k) c_key and rb = cget t ((2 * k) + 1) c_key in
-    if ra = 0 && rb = 0 then clear k
+    if not (present t (2 * k) || present t ((2 * k) + 1)) then clear k
     else begin
-      let first, second =
-        if rb = 0 || (ra > 0 && ra < rb) then (2 * k, (2 * k) + 1)
-        else ((2 * k) + 1, 2 * k)
-      in
-      let hf = head_of first and hs = ref (head_of second) in
-      (* Drop the second list's halves whose partner is in the first;
-         the partner becomes whole where it stands. *)
-      let n = ref !hs in
-      while !n >= 0 do
-        let cur = !n in
-        let next = nget t cur n_next and e = entry_at t cur in
-        n := next;
-        if e land 1 = 1 then begin
-          let o = e lsr 1 in
-          let other = if slot t o 0 = cur then slot t o 1 else slot t o 0 in
-          if other >= 0 && nget t other n_chunk = first then begin
-            let prev = nget t cur n_prev in
-            if prev < 0 then hs := next else nset t prev n_next next;
-            if next >= 0 then nset t next n_prev prev;
-            drop_slot t o cur;
-            release t cur;
-            make_whole t other
-          end
-        end
-      done;
-      let last = relabel t hf k in
-      ignore (relabel t !hs k : int);
-      let h =
-        if last < 0 then !hs
-        else begin
-          if !hs >= 0 then begin
-            nset t last n_next !hs;
-            nset t !hs n_prev last
-          end;
-          hf
-        end
-      in
-      let s = cget t first c_sum + cget t second c_sum in
-      set_head t k h;
+      let f = first k and start = !m in
+      copy k f;
+      copy k (f lxor 1);
+      if !m > start then Chunked.set dst (((!m - 1) * n_stride) + n_next) none;
+      let s = sum t (2 * k) + sum t ((2 * k) + 1) in
+      set_head t k (if !m > start then start else none);
       cset t k c_sum s;
       cset t k c_key (Hashtbl.hash k + 1)
     end
@@ -423,6 +374,10 @@ let merge_step t =
   for idx = new_hi to old_hi - 1 do
     clear idx
   done;
+  t.spare <- t.node;
+  t.node <- dst;
+  t.nodes <- !m;
+  t.removed <- 0;
   t.count <- !count;
   t.nb <- Table_order.created old_count;
   t.hi <- new_hi;
@@ -448,33 +403,37 @@ let potential t ~n =
   done;
   !total - (n / 4)
 
-(* One pass over the chunks, their lists and the oids. *)
+(* One pass over the chunks, their lists and the oids. Every node is
+   live on its list or removed, and the removed ones on lists are among
+   those counted since the last layout. *)
 let check_invariants t =
   let fail what = failwith ("Association: " ^ what) in
-  let listed = ref 0 and ranked = Array.make t.hi false in
+  let ranked = Array.make t.hi false in
   for r = 0 to t.count - 1 do
     let idx = Chunked.get t.seq r in
     if idx >= t.hi || not (present t idx) then fail "ranked chunk absent";
     if ranked.(idx) then fail "chunk ranked twice";
     ranked.(idx) <- true
   done;
-  let present_count = ref 0 in
+  let present_count = ref 0 and listed = ref 0 and removed = ref 0 in
   for idx = 0 to t.hi - 1 do
     if present t idx then begin
       incr present_count;
       if cget t idx c_key <> Hashtbl.hash idx + 1 then fail "hash drift";
-      let s = ref 0 and prev = ref none and n = ref (head t idx) in
+      let s = ref 0 and n = ref (head t idx) in
       if !n = middle && sum t idx <> 0 then fail "middle chunk with entries";
       while !n >= 0 do
         let cur = !n in
-        if nget t cur n_chunk <> idx then fail "node on the wrong chunk";
-        if nget t cur n_prev <> !prev then fail "broken back link";
-        let o = entry_at t cur lsr 1 in
-        if slot t o 0 <> cur && slot t o 1 <> cur then
-          fail "missing loc back-reference";
-        s := !s + (1 lsl log2_at t cur);
-        incr listed;
-        prev := cur;
+        if cur >= t.nodes then fail "node past the pool's end";
+        if not (live t cur) then incr removed
+        else begin
+          if nget t cur n_chunk <> idx then fail "node on the wrong chunk";
+          let o = entry_at t cur lsr 1 in
+          if slot t o 0 <> cur && slot t o 1 <> cur then
+            fail "missing loc back-reference";
+          s := !s + (1 lsl log2_at t cur);
+          incr listed
+        end;
         n := nget t cur n_next
       done;
       if !s <> sum t idx then fail "chunk sum drift"
@@ -483,18 +442,15 @@ let check_invariants t =
       fail "state on an absent chunk"
   done;
   if !present_count <> t.count then fail "chunk count drift";
-  let freed = ref 0 and n = ref t.free in
-  while !n >= 0 do
-    if nget t !n n_chunk <> -1 then fail "free node on a chunk";
-    incr freed;
-    n := nget t !n n_next
-  done;
-  if !listed + !freed <> t.nodes then fail "lost node";
+  let held = ref 0 in
   for o = 0 to t.oid_hi - 1 do
     let n0 = slot t o 0 and n1 = slot t o 1 in
     let check n =
-      if n >= 0 && (nget t n n_chunk < 0 || entry_at t n lsr 1 <> o) then
-        fail "stale loc"
+      if n >= 0 then begin
+        incr held;
+        if n >= t.nodes || (not (live t n)) || entry_at t n lsr 1 <> o then
+          fail "stale loc"
+      end
     in
     check n0;
     check n1;
@@ -503,4 +459,7 @@ let check_invariants t =
       if entry_at t n0 land entry_at t n1 land 1 = 0 then
         fail "a second entry beside a whole"
     end
-  done
+  done;
+  if !held <> !listed then fail "live node off its list";
+  if !removed > t.removed || !listed + t.removed <> t.nodes then
+    fail "lost node"

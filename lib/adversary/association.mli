@@ -10,9 +10,12 @@
 
     Representation: dense int arrays only. Per chunk number, the head of
     its entry list, its entry-size sum and its middle flag; all entries
-    in one pooled, doubly linked int list; per oid, the (at most two)
-    entries it has. Storage grows a block at a time, so a small run
-    allocates little.
+    in one pool of singly linked int lists; per oid, the (at most two)
+    entries it has. A removal marks its node in place, and new nodes go
+    at the pool's end; {!merge_step} copies the live nodes into a second
+    pool, one run per chunk, chunks ascending, and the pools swap. So
+    once the first merge has run, two pools are held. Storage grows a
+    block at a time, so a small run allocates little.
 
     Order contract. [P_F]'s choices, and so the event streams the
     behaviour lock pins, follow the order of {!chunk_indices} and of
@@ -70,11 +73,6 @@ val assoc_whole : t -> Pc_heap.Oid.t -> obj_size:int -> chunk:int -> unit
 (** Raises [Invalid_argument] unless [obj_size] is a power of two, or
     if the object already has two entries. Chunk indices are
     non-negative. *)
-
-val pack : t -> unit
-(** Lay the entries out so that each chunk's list is one run in
-    memory, chunks ascending. The association does not change; the
-    walks that follow read it in order. *)
 
 val assoc_halves :
   t -> Pc_heap.Oid.t -> obj_size:int -> chunk1:int -> chunk2:int -> unit

@@ -175,9 +175,6 @@ let program ?ell ?observe ?(audit = false) ?stage1_steps
         let w = if delta < size then addr + delta else addr in
         let idx = w / (1 lsl ((2 * ell) - 1)) in
         Association.assoc_whole assoc oid ~obj_size:size ~chunk:idx);
-    (* One run per chunk, so the stage-2 walks read each list in
-       order. *)
-    Association.pack assoc;
     emit assoc view driver ~step:((2 * ell) - 1);
     (* Stage 2: steps 2l .. log n - 2. *)
     for i = 2 * ell to log_n - 2 do

@@ -21,7 +21,7 @@ open Pc_heap
    size 1024 would: the programs' choices follow that order (which
    ghost is freed first, which object a chunk keeps), and so do the
    event streams the behaviour lock pins, which is why [retain] frees
-   in that order whenever a listener or hook can see it. That order is a
+   in its reverse whenever a listener or hook can see it. That order is a
    sort key ([Table_order]), so no bucket chain is kept: present oids
    ascending by [Hashtbl.hash oid land (nb - 1)], then descending by
    oid, with [nb] from 1024. Newest first is descending oid because the
@@ -66,7 +66,7 @@ let addr t oid = addr_at t (Oid.to_int oid)
 let is_ghost t oid = ghost_at t (Oid.to_int oid)
 
 (* Take a present oid out of the view, without freeing it. Its ghost
-   bit stays, for [retain]'s last pass. *)
+   bit stays, so the caller can tell whether the heap still holds it. *)
 let forget t o =
   t.present_words <- t.present_words - size_at t o;
   Chunked.set t.node ((o * stride) + 1) 0;
@@ -106,38 +106,35 @@ let free t oid =
   forget t o;
   if not (ghost_at t o) then Driver.free t.driver oid
 
-(* When nothing can observe the free order ([Driver.frees_commute]),
-   one pass in ascending oid order, read sequentially, judges, forgets
-   and frees each object in turn. Otherwise [keep] runs on every object
-   in table order first, and the doomed gather at the front of
-   [order]. Then all of them are forgotten, and only then are the live
-   ones freed, in the reverse of that order. Keeping the view's writes
-   and the heap's frees in separate passes keeps each pass's working
-   set small. *)
+(* One pass in ascending oid order, read sequentially, judges and
+   forgets each object in turn. When nothing can observe the free order
+   ([Driver.frees_commute]) it frees each doomed live object at once.
+   Otherwise it lists them, ascending, and frees them afterwards in the
+   reverse of their table order: the doomed alone, in the order the
+   whole table would visit them, since an oid's rank among ascending
+   oids orders it as its insertion did. *)
 let retain t keep =
-  if Driver.frees_commute t.driver then
-    for o = 0 to t.hi - 1 do
-      let size = size_at t o in
-      if size > 0 && not (keep (Oid.of_int o) (addr_at t o) size) then begin
-        forget t o;
-        if not (ghost_at t o) then Driver.free t.driver (Oid.of_int o)
-      end
-    done
-  else begin
-    let order = sorted_present t and doomed = ref 0 in
-    for k = 0 to Array.length order - 1 do
-      let o = Array.unsafe_get order k in
-      if not (keep (Oid.of_int o) (addr_at t o) (size_at t o)) then begin
-        Array.unsafe_set order !doomed o;
-        incr doomed
-      end
-    done;
-    for k = 0 to !doomed - 1 do
-      forget t (Array.unsafe_get order k)
-    done;
-    for k = !doomed - 1 downto 0 do
-      let o = Array.unsafe_get order k in
-      if not (ghost_at t o) then Driver.free t.driver (Oid.of_int o)
+  let commute = Driver.frees_commute t.driver in
+  let doomed = Chunked.create ~fill:0 and n = ref 0 in
+  for o = 0 to t.hi - 1 do
+    let size = size_at t o in
+    if size > 0 && not (keep (Oid.of_int o) (addr_at t o) size) then begin
+      forget t o;
+      if not (ghost_at t o) then
+        if commute then Driver.free t.driver (Oid.of_int o)
+        else begin
+          Chunked.set doomed !n o;
+          incr n
+        end
+    end
+  done;
+  if !n > 0 then begin
+    let order =
+      Table_order.sort ~nb:t.nb ~count:!n ~len:!n (fun r ->
+          tag_at t (Chunked.get doomed r) lsr 1)
+    in
+    for k = !n - 1 downto 0 do
+      Driver.free t.driver (Oid.of_int (Chunked.get doomed order.(k)))
     done
   end
 

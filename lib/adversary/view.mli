@@ -40,7 +40,8 @@ val retain : t -> (Pc_heap.Oid.t -> int -> int -> bool) -> unit
     any order, interleaved with the frees. The heap frees come in the
     reverse of {!iter_present}'s order whenever something can observe
     them (a heap listener or the manager's [on_free] hook, see
-    {!Driver.frees_commute}), and in ascending oid order otherwise. *)
+    {!Driver.frees_commute}), once every object is judged, and in
+    ascending oid order otherwise. *)
 
 val drop_ghosts : t -> unit
 (** Free every ghost, as {!free} does. Ghost frees emit no heap event

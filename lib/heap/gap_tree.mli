@@ -2,8 +2,9 @@
     augmented with the maximum gap length per subtree so that fit
     searches run in logarithmic time.
 
-    This is the workhorse behind {!Free_index}. Gaps are identified by
-    their start address; lengths are positive word counts. *)
+    The reference {!Free_index_ref} keeps its gaps here; the kernel's
+    {!Free_index} does not use it. Gaps are identified by their start
+    address; lengths are positive word counts. *)
 
 type t
 
