@@ -422,13 +422,8 @@ let simulate_cmd =
 
 let diagram_cmd =
   let run m n manager =
-    let spec = Spec.robson ~manager ~m ~n () in
-    let mgr = Spec.manager spec in
-    let program = Spec.build spec in
-    let ctx = Pc.Ctx.create ~live_bound:m () in
-    let driver = Pc.Driver.create ctx mgr in
-    Pc.Program.run program driver;
-    let heap = Pc.Ctx.heap ctx in
+    let _, trace = Spec.record (Spec.robson ~manager ~m ~n ()) in
+    let heap = Result.get_ok (Pc.Trace.replay trace) in
     Fmt.pr "Robson's P_R vs %s (M=%d, n=%d): HS/M=%.3f@." manager m n
       (float_of_int (Pc.Heap.high_water heap) /. float_of_int m);
     Fmt.pr "%s@."
@@ -451,14 +446,7 @@ let diagram_cmd =
 
 let trace_cmd =
   let run program manager m n c stats_only =
-    let spec = spec_of_program ~manager ~m ~n ~c program in
-    let mgr = Spec.manager spec in
-    let prog = Spec.build spec in
-    let ctx = Pc.Ctx.create ~budget:(Pc.Budget.create ~c) ~live_bound:m () in
-    let trace = Pc.Trace.create () in
-    Pc.Trace.record trace (Pc.Ctx.heap ctx);
-    let driver = Pc.Driver.create ctx mgr in
-    Pc.Program.run prog driver;
+    let _, trace = Spec.record (spec_of_program ~manager ~m ~n ~c program) in
     if stats_only then Fmt.pr "%a@." Pc.Trace.pp_stats (Pc.Trace.stats trace)
     else print_string (Pc.Trace.to_string trace)
   in

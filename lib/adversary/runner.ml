@@ -13,8 +13,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    floor, and — at the [Full] level — the HS/M trajectory over the
    run, bucketed as permille so Theorem 1's floor is readable straight
    off the histogram. Span aggregates are shared across sweep worker
-   domains; per-domain interleavings can drop an update, which is
-   acceptable for timing aggregates and never affects outcomes. *)
+   domains; each span's update takes its lock, so counts stay exact. *)
 module T = Pc_telemetry
 
 let exec_span = T.Registry.span "runner.exec"
@@ -42,8 +41,10 @@ type outcome = {
   compliant : bool; (* c-partial rule never violated *)
 }
 
-let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
-    ~program ~manager () =
+(* [primary] is the recorder of the primary run, if the caller wants
+   its trace. *)
+let execute ~primary ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h
+    ?failures_dir ~program ~manager () =
   let m = Program.live_bound program in
   (* The oracle audits [audit_c] — normally the enforced bound, but a
      caller can audit a bound the budget does not enforce (that is how
@@ -51,12 +52,12 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
   let audit_c = match audit_c with Some _ as ac -> ac | None -> c in
   (* One execution of the interaction. Programs build their state
      inside their run closure, so executions are deterministic and
-     repeatable; [record] controls whether the heap's event stream is
-     captured as a trace. The primary run does not record — retaining
-     every event costs real time and memory on clean runs — and on a
-     violation the run is repeated with the recorder on to obtain the
-     trace for triage. *)
-  let exec ~record =
+     repeatable; [record], when given, captures the heap's event
+     stream. The primary run records only for a caller that asks —
+     retaining every event costs real time and memory on clean runs —
+     and on a violation the run is repeated with a recorder on to
+     obtain the trace for triage. *)
+  let exec record =
     let budget =
       match c with Some c -> Budget.create ~c | None -> Budget.unlimited ()
     in
@@ -85,14 +86,7 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
       else
         Some (Pc_audit.Oracle.attach ~level:audit ?c:audit_c ~live_bound:m heap)
     in
-    let trace =
-      if record then begin
-        let t = Trace.create () in
-        Trace.record t heap;
-        Some t
-      end
-      else None
-    in
+    Option.iter (fun t -> Trace.record t heap) record;
     let driver = Driver.create ctx manager in
     let event_seq () =
       match oracle with Some o -> Pc_audit.Oracle.seq o | None -> -1
@@ -136,16 +130,14 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
                   step delta_u floor;
             }
     in
-    (heap, trace, result)
+    (heap, result)
   in
   Log.debug (fun k ->
       k "running %s vs %s (M=%d, c=%s, audit=%a)" (Program.name program)
         (Manager.name manager) m
         (match c with Some c -> Fmt.str "%g" c | None -> "unlimited")
         Pc_audit.Oracle.pp_level audit);
-  let heap, _, result =
-    T.Span.time exec_span (fun () -> exec ~record:false)
-  in
+  let heap, result = T.Span.time exec_span (fun () -> exec primary) in
   (match result with
   | Ok () -> ()
   | Error v -> (
@@ -165,8 +157,9 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
          (raising Report.Reported). If the repeat does not reproduce
          the violation — a nondeterministic program — the violation
          propagates as-is, without a bundle. *)
-      match T.Span.time triage_span (fun () -> exec ~record:true) with
-      | _, Some trace, Error v' when v'.Pc_audit.Oracle.oracle = v.oracle ->
+      let trace = Trace.create () in
+      match T.Span.time triage_span (fun () -> exec (Some trace)) with
+      | _, Error v' when v'.Pc_audit.Oracle.oracle = v.oracle ->
           Pc_audit.Report.capture ?dir:failures_dir ~info ~violation:v ~trace
             ()
       | _ -> raise (Pc_audit.Oracle.Violation v)));
@@ -200,6 +193,13 @@ let run ?c ?(audit = Pc_audit.Oracle.Off) ?audit_c ?theory_h ?failures_dir
     final_live = Heap.live_words heap;
     compliant = Heap.available heap >= 0;
   }
+
+let run = execute ~primary:None
+
+let run_recorded ?c ~program ~manager () =
+  let trace = Trace.create () in
+  let o = execute ~primary:(Some trace) ?c ~program ~manager () in
+  (o, trace)
 
 let pp_outcome ppf o =
   Fmt.pf ppf

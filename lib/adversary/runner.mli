@@ -46,4 +46,14 @@ val run :
     it defaults to [c]. [theory_h] additionally asserts Theorem 1's
     floor [HS/M >= theory_h] on the final heap. *)
 
+val run_recorded :
+  ?c:float ->
+  program:Program.t ->
+  manager:Pc_manager.Manager.t ->
+  unit ->
+  outcome * Pc_heap.Trace.t
+(** {!run} without audit, returning the trace of the heap's event
+    stream recorded on the same execution the outcome reports, so the
+    trace's totals are the outcome's. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit

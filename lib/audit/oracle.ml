@@ -287,11 +287,12 @@ let attach ?(level = Sampled) ?(sample_every = 64) ?c ?live_bound ?only heap =
    floors (h > 1) are asserted; below that the theorem is vacuous. *)
 (* [eps] tolerates the gap between the asymptotic Theorem 1 statement
    and finite simulation scales: the ablation table (A4) observes
-   borderline managers up to ~0.02 below the floor at toy M. The
-   default catches what a genuine bug produces (HS/M collapsing
-   towards 1) without flagging finite-size noise; tests pin it
-   tighter. *)
-let finish ?theory_h ?(eps = 0.05) t =
+   borderline managers up to ~0.02 below the floor at toy M. It
+   catches what a genuine bug produces (HS/M collapsing towards 1)
+   without flagging finite-size noise. *)
+let eps = 0.05
+
+let finish ?theory_h t =
   if t.level <> Off then begin
     check_budget t;
     check_live t;

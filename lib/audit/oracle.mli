@@ -76,12 +76,12 @@ val attach :
     violation kind. Raises [Invalid_argument] on [sample_every <= 0]
     or [c <= 1]. *)
 
-val finish : ?theory_h:float -> ?eps:float -> t -> unit
+val finish : ?theory_h:float -> t -> unit
 (** End-of-run checks: a final full sweep of every attached oracle,
     the final deep shadow comparison at [Differential], and — given
-    [theory_h] — the Theorem 1 floor [HS/M >= theory_h - eps] (only
-    asserted when [theory_h > 1]; [eps] defaults to [0.05], the
-    finite-scale tolerance — the theorem is asymptotic and borderline
+    [theory_h] — the Theorem 1 floor [HS/M >= theory_h - 0.05] (only
+    asserted when [theory_h > 1]; [0.05] is the finite-scale
+    tolerance — the theorem is asymptotic and borderline
     managers run up to ~0.02 below the floor at toy [M]). Raises
     {!Violation}. *)
 

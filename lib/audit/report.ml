@@ -212,14 +212,12 @@ let emit ?dir ~info ~violation ~events_full minimized =
 (* ------------------------------------------------------------------ *)
 (* Capture: shrink if the violation kind supports it, emit, raise.    *)
 
-let capture ?dir ?max_shrink_tests ~info ~violation ~trace () =
+let capture ?dir ~info ~violation ~trace () =
   let only = violation.Oracle.oracle in
   let minimized =
     if Oracle.shrinkable only && same_violation ~only ~info ~oracle:only trace
     then
-      Shrink.ddmin ?max_tests:max_shrink_tests
-        ~predicate:(same_violation ~only ~info ~oracle:only)
-        trace
+      Shrink.ddmin ~predicate:(same_violation ~only ~info ~oracle:only) trace
     else trace
   in
   let bundle =

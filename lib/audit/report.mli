@@ -57,7 +57,6 @@ val write_file_atomic : string -> string -> unit
 
 val capture :
   ?dir:string ->
-  ?max_shrink_tests:int ->
   info:info ->
   violation:Oracle.violation ->
   trace:Pc_heap.Trace.t ->

@@ -128,6 +128,9 @@ let run ?audit ?(broken_budget = false) ?failures_dir t =
   Runner.run ?c ?audit_c ?audit ?theory_h:(theory_h t) ?failures_dir ~program
     ~manager ()
 
+let record t =
+  Runner.run_recorded ?c:t.c ~program:(build t) ~manager:(manager t) ()
+
 (* ------------------------------------------------------------------ *)
 (* Canonical key and digest                                           *)
 

@@ -103,7 +103,7 @@ val run :
   t ->
   Pc_adversary.Runner.outcome
 (** Build the program and a fresh manager and run them under the
-    spec's compaction bound: the one place a job meets
+    spec's compaction bound: with {!record}, the one place a job meets
     {!Pc_adversary.Runner}. [audit] attaches the oracle layer (at
     [Full] also PF's Claim 4.16 audit, see {!build}); full-strength PF
     (no [stage1_steps], density maintained) also gets Theorem 1's
@@ -111,6 +111,10 @@ val run :
     while the oracle still audits the spec's [c] — the audit drill's
     model of a manager whose budget debit is broken. Raises what
     {!build}, {!manager} and the runner raise. *)
+
+val record : t -> Pc_adversary.Runner.outcome * Pc_heap.Trace.t
+(** {!run} without audit, also returning the run's heap event trace
+    (see {!Pc_adversary.Runner.run_recorded}). *)
 
 (** {1 Identity} *)
 

@@ -443,10 +443,6 @@ let first_fit t ~size =
   | -1 -> Tail t.frontier
   | s -> Gap s
 
-let first_fit_gap t ~size =
-  observe_search t;
-  match search_up t ~lo:0 ~size (fun s _ -> s) with -1 -> None | s -> Some s
-
 let first_fit_from t ~from ~size =
   observe_search t;
   (* A gap starting before [from] may still contain [from, from+size):
@@ -502,12 +498,6 @@ let first_aligned_fit t ~size ~align =
   | -1 -> Tail (Word.align_up t.frontier ~align)
   | a -> Gap a
 
-let first_aligned_fit_gap t ~size ~align =
-  observe_search t;
-  match search_up t ~lo:0 ~size (aligned_test ~size ~align) with
-  | -1 -> None
-  | a -> Some a
-
 (* Lowest aligned address >= from where [size] words fit inside an
    existing gap; the gap containing [from] itself is also considered. *)
 let first_aligned_fit_from t ~from ~size ~align =
@@ -532,11 +522,6 @@ let iter_gaps t f =
     (search_up t ~lo:0 ~size:1 (fun s l ->
          f s l;
          -1))
-
-let gaps t =
-  let acc = ref [] in
-  iter_gaps t (fun s l -> acc := (s, l) :: !acc);
-  List.rev !acc
 
 (* Count of gaps of exactly length [l]. *)
 let[@inline] len_count t l =

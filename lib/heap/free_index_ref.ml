@@ -126,11 +126,6 @@ let first_fit t ~size =
   | Some (s, _) -> Gap s
   | None -> Tail t.frontier
 
-let first_fit_gap t ~size =
-  match Gap_tree.first_fit t.gaps ~size with
-  | Some (s, _) -> Some s
-  | None -> None
-
 let first_fit_from t ~from ~size =
   (* A gap starting before [from] may still contain [from, from+size):
      check the predecessor explicitly, then search starts >= from. *)
@@ -161,9 +156,6 @@ let first_aligned_fit t ~size ~align =
   | Some a -> Gap a
   | None -> Tail (Word.align_up t.frontier ~align)
 
-let first_aligned_fit_gap t ~size ~align =
-  Gap_tree.first_aligned_fit t.gaps ~size ~align
-
 (* Lowest aligned address >= from where [size] words fit inside an
    existing gap; the gap containing [from] itself is also considered. *)
 let first_aligned_fit_from t ~from ~size ~align =
@@ -179,7 +171,6 @@ let first_aligned_fit_from t ~from ~size ~align =
   | None -> Gap_tree.first_aligned_fit_from t.gaps ~from ~size ~align
 
 let iter_gaps t f = Gap_tree.iter t.gaps f
-let gaps t = Gap_tree.to_list t.gaps
 
 (* The k largest gaps, longest first, straight off the by-length index
    — no per-gap tree lookups and, for [iter], no list. *)

@@ -107,14 +107,6 @@ let rec remove t ~start =
             balance n.l s ln (remove_min r)
       end
 
-let rec find t ~start =
-  match t with
-  | Leaf -> None
-  | Node n ->
-      if start < n.start then find n.l ~start
-      else if start > n.start then find n.r ~start
-      else Some n.len
-
 (* Greatest gap with start <= addr. *)
 let rec pred t ~addr =
   match t with
@@ -213,13 +205,6 @@ let rec iter t f =
       iter n.l f;
       f n.start n.len;
       iter n.r f
-
-let rec fold t ~init ~f =
-  match t with
-  | Leaf -> init
-  | Node n -> fold n.r ~init:(f (fold n.l ~init ~f) n.start n.len) ~f
-
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc s l -> (s, l) :: acc))
 
 let rec check_balanced = function
   | Leaf -> true

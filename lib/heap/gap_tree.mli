@@ -22,9 +22,6 @@ val add : t -> start:int -> len:int -> t
 val remove : t -> start:int -> t
 (** Raises [Invalid_argument] when no gap starts at [start]. *)
 
-val find : t -> start:int -> int option
-(** Length of the gap starting exactly at [start], if any. *)
-
 val pred : t -> addr:int -> (int * int) option
 (** Greatest [(start, len)] with [start <= addr]. *)
 
@@ -48,7 +45,5 @@ val first_aligned_fit_from : t -> from:int -> size:int -> align:int -> int optio
 val iter : t -> (int -> int -> unit) -> unit
 (** In address order. *)
 
-val fold : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-val to_list : t -> (int * int) list
 val check_balanced : t -> bool
 (** Structural invariant check; intended for tests. *)

@@ -8,8 +8,9 @@
    lookup for range queries. A free in arbitrary oid order touches the
    extent line, the address line and the bitset. alloc/free/move are
    O(1) plus the free-index update and, with no listener attached,
-   allocate nothing; [fold_objects_in] and [clear_cost] are
-   O(k log32 range) for k intersecting objects. Observationally
+   allocate nothing; the window queries ([objects_in], [clear_cost],
+   [occupied_words_in]) share one walk, O(k log32 range) for k
+   intersecting objects. Observationally
    identical to the reference [Heap_ref] (pinned by the differential
    suite).
 
@@ -150,12 +151,7 @@ let live_oid t oid =
   if not (is_live t oid) then invalid_arg "Heap.get: unknown or dead object";
   Oid.to_int oid
 
-let find t oid =
-  if is_live t oid then Some (obj_of t (Oid.to_int oid)) else None
-
 let get t oid = obj_of t (live_oid t oid)
-let addr t oid = addr_of t (live_oid t oid)
-let size t oid = size_of t (live_oid t oid)
 let[@inline] bump_high_water t stop = if stop > t.high_water then t.high_water <- stop
 
 let alloc t ~addr ~size =
@@ -235,13 +231,12 @@ let move t oid ~dst =
       raise (Budget.Exceeded { requested = size; available = left + size })
   end
 
-(* [iter_live]/[fold_live] visit a snapshot taken up front, so the
-   callback may freely alloc/free/move (the semispace flip moves every
-   object mid-iteration) — mirroring the reference, whose
-   persistent address map is immune to mutation during iteration. *)
-let snapshot_live t =
-  if t.nlive = 0 then [||]
-  else begin
+(* [iter_live] visits a snapshot taken up front, so the callback may
+   freely alloc/free/move (the semispace flip moves every object
+   mid-iteration) — mirroring the reference, whose persistent address
+   map is immune to mutation during iteration. *)
+let iter_live t f =
+  if t.nlive > 0 then begin
     let objs =
       Array.make t.nlive { oid = Oid.of_int 0; addr = -1; size = 0 }
     in
@@ -249,28 +244,25 @@ let snapshot_live t =
     Bitset.iter t.starts (fun a ->
         objs.(!i) <- obj_of t (oid_at t a);
         incr i);
-    objs
+    Array.iter f objs
   end
 
-let iter_live t f = Array.iter f (snapshot_live t)
-let fold_live t ~init ~f = Array.fold_left f init (snapshot_live t)
-
-let live_list t = List.rev (fold_live t ~init:[] ~f:(fun acc o -> o :: acc))
-
-(* Fold over the live objects intersecting [start, stop) in address
-   order: the possible straddler from just below [start], then a bitset
-   walk of starts in [start, stop). This is the hot query behind
+(* Fold [f acc addr oid] over the live objects intersecting
+   [start, stop) in address order: the possible straddler from just
+   below [start], then a bitset walk of starts in [start, stop). It
+   reads the extent array and builds no object record, so the sums
+   below allocate nothing but [f]. This is the hot query behind
    eviction cost estimates. *)
-let fold_objects_in t ~start ~stop ~init ~f =
+let fold_in t ~start ~stop ~init f =
   let acc = ref init in
   let p = Bitset.pred t.starts (start - 1) in
   (if p >= 0 then begin
      let o = oid_at t p in
-     if p + size_of t o > start then acc := f !acc (obj_of t o)
+     if p + size_of t o > start then acc := f !acc p o
    end);
   let rec go a =
     if a >= 0 && a < stop then begin
-      acc := f !acc (obj_of t (oid_at t a));
+      acc := f !acc a (oid_at t a);
       go (Bitset.succ t.starts (a + 1))
     end
   in
@@ -278,35 +270,15 @@ let fold_objects_in t ~start ~stop ~init ~f =
   !acc
 
 let objects_in t ~start ~stop =
-  List.rev (fold_objects_in t ~start ~stop ~init:[] ~f:(fun acc o -> o :: acc))
-
-(* Sum [weight addr oid] over the live objects intersecting
-   [start, stop), straight from the extent array, without materialising
-   object records: the possible straddler from just below [start],
-   then a bitset walk of starts in [start, stop). *)
-let sum_objects_in t ~start ~stop weight =
-  let total = ref 0 in
-  let p = Bitset.pred t.starts (start - 1) in
-  (if p >= 0 then begin
-     let o = oid_at t p in
-     if p + size_of t o > start then total := weight p o
-   end);
-  let rec go a =
-    if a >= 0 && a < stop then begin
-      total := !total + weight a (oid_at t a);
-      go (Bitset.succ t.starts (a + 1))
-    end
-  in
-  go (Bitset.succ t.starts start);
-  !total
+  List.rev (fold_in t ~start ~stop ~init:[] (fun acc _ o -> obj_of t o :: acc))
 
 (* Straddlers count fully. Exact, so the [cap] hint is not needed. *)
 let clear_cost t ~start ~stop ~cap:_ =
-  sum_objects_in t ~start ~stop (fun _ o -> size_of t o)
+  fold_in t ~start ~stop ~init:0 (fun acc _ o -> acc + size_of t o)
 
 let occupied_words_in t ~start ~stop =
-  sum_objects_in t ~start ~stop (fun a o ->
-      min stop (a + size_of t o) - max start a)
+  fold_in t ~start ~stop ~init:0 (fun acc a o ->
+      acc + (min stop (a + size_of t o) - max start a))
 
 (* One walk of the live objects in address order, straight from
    [starts] and [ext], with no snapshot. *)

@@ -2,7 +2,12 @@
     the persistent reference it is checked against ([Heap_ref],
     [Free_index_ref]). The two implementations are observationally
     identical: the differential suite and the [Differential] audit
-    watchdog pin every query result to be bit-identical. *)
+    watchdog pin every query result to be bit-identical.
+
+    Each query has one form, written once per implementation: a fit
+    from the bottom of the heap is a [fit] (callers that
+    only want a gap match on [Gap]), a whole-heap walk is an iterator,
+    and a window query is a list or a sum. *)
 
 (** Index of the free space of a conceptually unbounded heap [\[0, ∞)].
 
@@ -39,9 +44,6 @@ module type FREE_INDEX = sig
   (** Lowest address where [size] words fit (always succeeds thanks to
       the tail). *)
 
-  val first_fit_gap : t -> size:int -> int option
-  (** Like {!first_fit} but only considers existing gaps. *)
-
   val first_fit_from : t -> from:int -> size:int -> int option
   (** Lowest address [>= from] inside an existing gap where [size]
       words fit. *)
@@ -57,17 +59,14 @@ module type FREE_INDEX = sig
   val first_aligned_fit : t -> size:int -> align:int -> fit
   (** Lowest [align]-divisible address where [size] words fit. *)
 
-  val first_aligned_fit_gap : t -> size:int -> align:int -> int option
-
   val first_aligned_fit_from :
     t -> from:int -> size:int -> align:int -> int option
   (** Lowest [align]-divisible address [>= from] where [size] words fit
       inside an existing gap. *)
 
   val iter_gaps : t -> (int -> int -> unit) -> unit
-
-  val gaps : t -> (int * int) list
-  (** [(start, len)] pairs in address order. *)
+  (** [iter_gaps t f] calls [f start len] on every gap in address
+      order. *)
 
   val largest_gaps : t -> k:int -> (int * int) list
   (** The [k] largest gaps as [(start, len)], longest first (ties:
@@ -127,10 +126,9 @@ module type HEAP = sig
       are allowed. Counts the object's size towards {!moved_total}.
       Raises [Invalid_argument] if the destination is not free. *)
 
-  val find : t -> Oid.t -> obj option
   val get : t -> Oid.t -> obj
-  val addr : t -> Oid.t -> int
-  val size : t -> Oid.t -> int
+  (** Raises [Invalid_argument] on an unknown or dead object. *)
+
   val live_words : t -> int
   val live_objects : t -> int
 
@@ -156,16 +154,8 @@ module type HEAP = sig
   (** In address order, over a snapshot: the callback may mutate the
       heap. *)
 
-  val fold_live : t -> init:'a -> f:('a -> obj -> 'a) -> 'a
-  val live_list : t -> obj list
-
   val objects_in : t -> start:int -> stop:int -> obj list
   (** Live objects intersecting [\[start, stop)], in address order. *)
-
-  val fold_objects_in :
-    t -> start:int -> stop:int -> init:'a -> f:('a -> obj -> 'a) -> 'a
-  (** Fold over the live objects intersecting [\[start, stop)] in
-      address order without materialising a list. *)
 
   val occupied_words_in : t -> start:int -> stop:int -> int
   (** Number of live words inside [\[start, stop)]. *)

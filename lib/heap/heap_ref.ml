@@ -56,15 +56,10 @@ let high_water t = t.high_water
 let free_index t = t.free
 let is_free t ~addr ~size = Free_index_ref.is_free t.free ~addr ~len:size
 
-let find t oid = Oid.Table.find_opt t.objects oid
-
 let get t oid =
-  match find t oid with
+  match Oid.Table.find_opt t.objects oid with
   | Some o -> o
   | None -> invalid_arg "Heap.get: unknown or dead object"
-
-let addr t oid = (get t oid).addr
-let size t oid = (get t oid).size
 
 let bump_high_water t stop = if stop > t.high_water then t.high_water <- stop
 
@@ -115,13 +110,10 @@ let move t oid ~dst =
   end
 
 let iter_live t f = Addr_map.iter (fun _ o -> f o) t.by_addr
-let fold_live t ~init ~f = Addr_map.fold (fun _ o acc -> f acc o) t.by_addr init
-let live_list t = List.rev (fold_live t ~init:[] ~f:(fun acc o -> o :: acc))
 
 (* Fold over the live objects intersecting [start, stop) in address
-   order, straight off the address map — no intermediate list. This is
-   the hot query behind eviction cost estimates. *)
-let fold_objects_in t ~start ~stop ~init ~f =
+   order, straight off the address map — no intermediate list. *)
+let fold_in t ~start ~stop ~init f =
   let acc =
     match Addr_map.find_last_opt (fun a -> a < start) t.by_addr with
     | Some (_, o) when o.addr + o.size > start -> f init o
@@ -135,15 +127,15 @@ let fold_objects_in t ~start ~stop ~init ~f =
   go acc (Addr_map.to_seq_from start t.by_addr)
 
 let objects_in t ~start ~stop =
-  List.rev (fold_objects_in t ~start ~stop ~init:[] ~f:(fun acc o -> o :: acc))
+  List.rev (fold_in t ~start ~stop ~init:[] (fun acc o -> o :: acc))
 
 (* Exact total, which the kernel's must match bit for bit; the [cap]
    hint is unused. *)
 let clear_cost t ~start ~stop ~cap:_ =
-  fold_objects_in t ~start ~stop ~init:0 ~f:(fun acc o -> acc + o.size)
+  fold_in t ~start ~stop ~init:0 (fun acc o -> acc + o.size)
 
 let occupied_words_in t ~start ~stop =
-  fold_objects_in t ~start ~stop ~init:0 ~f:(fun acc o ->
+  fold_in t ~start ~stop ~init:0 (fun acc o ->
       acc + (min stop (o.addr + o.size) - max start o.addr))
 
 let check_invariants t =
@@ -167,8 +159,10 @@ let check_invariants t =
      object; check by comparing word counts. *)
   let frontier = Free_index_ref.frontier t.free in
   let occupied_below =
-    fold_live t ~init:0 ~f:(fun acc o ->
+    Addr_map.fold
+      (fun _ o acc ->
         acc + max 0 (min frontier (o.addr + o.size) - min frontier o.addr))
+      t.by_addr 0
   in
   if occupied_below + Free_index_ref.free_below_frontier t.free <> frontier then
     failwith "Heap: free/occupied words do not tile the frontier"

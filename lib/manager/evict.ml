@@ -196,10 +196,10 @@ let window_candidates ws ctx ~size ~align =
    not overlap the window [window_start, window_stop) being cleared. *)
 let relocate_first_fit ctx ~window_start ~window_stop (o : Heap.obj) =
   let free = Ctx.free_index ctx in
-  match Free_index.first_fit_gap free ~size:o.size with
-  | Some a when a + o.size <= window_start || a >= window_stop -> Some a
-  | Some _ -> Free_index.first_fit_from free ~from:window_stop ~size:o.size
-  | None -> None
+  match Free_index.first_fit free ~size:o.size with
+  | Gap a when a + o.size <= window_start || a >= window_stop -> Some a
+  | Gap _ -> Free_index.first_fit_from free ~from:window_stop ~size:o.size
+  | Tail _ -> None
 
 type decline = No_candidate | Relocation | Budget_spent | Attempts
 

@@ -28,12 +28,12 @@ let make () =
   let relocate ctx ~window_start ~window_stop (o : Heap.obj) =
     let free = Ctx.free_index ctx in
     let align = Word.round_up_pow2 o.size in
-    match Free_index.first_aligned_fit_gap free ~size:o.size ~align with
-    | Some a when a + o.size <= window_start || a >= window_stop -> Some a
-    | Some _ ->
+    match Free_index.first_aligned_fit free ~size:o.size ~align with
+    | Gap a when a + o.size <= window_start || a >= window_stop -> Some a
+    | Gap _ ->
         Free_index.first_aligned_fit_from free ~from:window_stop ~size:o.size
           ~align
-    | None -> None
+    | Tail _ -> None
   in
   let alloc evict ctx ~size =
     let free = Ctx.free_index ctx in

@@ -10,9 +10,8 @@ let make () =
       match Free_index.first_fit_from free ~from:!rover ~size with
       | Some a -> a
       | None -> (
-          match Free_index.first_fit_gap free ~size with
-          | Some a -> a
-          | None -> Free_index.frontier free)
+          match Free_index.first_fit free ~size with
+          | Gap a | Tail a -> a)
     in
     rover := addr + size;
     addr

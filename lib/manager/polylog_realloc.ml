@@ -31,24 +31,20 @@ let repack ctx =
   let heap = Ctx.heap ctx in
   let free = Ctx.free_index ctx in
   let dry = ref false in
-  List.iter
-    (fun (o : Heap.obj) ->
+  Heap.iter_live heap (fun o ->
       if not !dry then begin
         let align = Word.round_up_pow2 o.size in
-        match Free_index.first_aligned_fit_gap free ~size:o.size ~align with
-        | Some a when a < o.addr ->
+        match Free_index.first_aligned_fit free ~size:o.size ~align with
+        | Gap a when a < o.addr ->
             if Heap.can_move heap o.size then Heap.move heap o.oid ~dst:a
             else dry := true
-        | _ -> ()
+        | Gap _ | Tail _ -> ()
       end)
-    (Heap.live_list heap)
 
-let make ?(first_epoch_factor = 1.0) () =
-  (* The state is the allocation volume at which the next epoch fires. *)
-  let init ctx =
-    ref
-      (max 1 (int_of_float (first_epoch_factor *. float (Ctx.live_bound ctx))))
-  in
+let make () =
+  (* The state is the allocation volume at which the next epoch fires;
+     the first fires at the live bound M. *)
+  let init ctx = ref (max 1 (Ctx.live_bound ctx)) in
   let alloc next_epoch ctx ~size =
     let heap = Ctx.heap ctx in
     if Heap.allocated_total heap >= !next_epoch then begin

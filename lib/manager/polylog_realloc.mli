@@ -3,7 +3,7 @@
     repacks at power-of-two epochs of allocation volume, each repack a
     budget-capped c-partial compaction.
 
-    The first epoch fires at [first_epoch_factor * M] allocated words
-    (default 1.0), doubling thereafter. *)
+    The first epoch fires at M allocated words (the live bound),
+    doubling thereafter. *)
 
-val make : ?first_epoch_factor:float -> unit -> Manager.t
+val make : unit -> Manager.t

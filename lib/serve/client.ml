@@ -46,7 +46,10 @@ let rpc conn request =
 
 (* ------------------------------------------------------------------ *)
 
-let submit ?(seed = 0) ?(max_attempts = 50) conn ~tenant ?(retries = 0) specs =
+(* Backpressure rounds a submission absorbs before giving up. *)
+let max_attempts = 50
+
+let submit ?(seed = 0) conn ~tenant ?(retries = 0) specs =
   let request = Protocol.Submit { tenant; specs; retries } in
   let rec go attempt =
     if attempt >= max_attempts then
@@ -75,7 +78,10 @@ let status conn ~tenant ~id =
       raise (Protocol_error (Printf.sprintf "%s: %s" code message))
   | _ -> raise (Protocol_error "unexpected response to status")
 
-let wait ?(poll = 0.02) conn ~tenant ~id =
+(* Seconds between two [status] polls. *)
+let poll = 0.02
+
+let wait conn ~tenant ~id =
   let rec go () =
     let state, progress = status conn ~tenant ~id in
     if state = "completed" || state = "cancelled" then (state, progress)
@@ -124,21 +130,23 @@ type run = {
   outcomes : (string * (Pc_adversary.Runner.outcome, string) result) list;
 }
 
+(* Consecutive connection failures a lifecycle survives. *)
+let reconnect_rounds = 40
+
 (* Submission ids are content digests and the daemon replays its
    manifests on restart, so "reconnect and resubmit from scratch" is
    both safe (idempotent: the daemon answers [known = true] and serves
    whatever the journal already holds) and complete (jobs admitted
    before the crash finish after it). That one property makes clients
    of a crashing daemon trivial: this is the whole recovery logic. *)
-let submit_and_wait ?(seed = 0) ?max_attempts ?poll ?(reconnect_rounds = 40)
-    ~socket ~tenant ?(retries = 0) specs =
+let submit_and_wait ?(seed = 0) ~socket ~tenant ?(retries = 0) specs =
   let rec go round rounds_acc =
     match
       with_conn socket (fun conn ->
           let id, total, known, backoff_rounds =
-            submit ~seed ?max_attempts conn ~tenant ~retries specs
+            submit ~seed conn ~tenant ~retries specs
           in
-          let state, progress = wait ?poll conn ~tenant ~id in
+          let state, progress = wait conn ~tenant ~id in
           let outcomes = results conn ~tenant ~id in
           {
             id;

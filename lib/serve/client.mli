@@ -19,7 +19,6 @@ val rpc : conn -> Protocol.request -> Protocol.response
 
 val submit :
   ?seed:int ->
-  ?max_attempts:int ->
   conn ->
   tenant:string ->
   ?retries:int ->
@@ -29,12 +28,11 @@ val submit :
     backoff, its base floored by the server's hint) after each
     [Retry_after], so load runs reproduce. Returns
     [(id, total, known, backoff_rounds)]. Raises {!Protocol_error}
-    on [Refused] or after [max_attempts] (default 50) rounds. *)
+    on [Refused] or after 50 rounds. *)
 
 val status : conn -> tenant:string -> id:string -> string * Protocol.progress
-val wait :
-  ?poll:float -> conn -> tenant:string -> id:string -> string * Protocol.progress
-(** Poll {!status} until ["completed"] or ["cancelled"]. *)
+val wait : conn -> tenant:string -> id:string -> string * Protocol.progress
+(** Poll {!status} every 20 ms until ["completed"] or ["cancelled"]. *)
 
 val results :
   conn ->
@@ -61,9 +59,6 @@ type run = {
 
 val submit_and_wait :
   ?seed:int ->
-  ?max_attempts:int ->
-  ?poll:float ->
-  ?reconnect_rounds:int ->
   socket:string ->
   tenant:string ->
   ?retries:int ->
@@ -73,8 +68,8 @@ val submit_and_wait :
     back off, reconnect and {e resubmit} — safe because submission ids
     are content digests (the daemon answers [known] and serves what
     its journal already holds), complete because the daemon replays
-    its manifests on restart. Raises after [reconnect_rounds]
-    (default 40) consecutive connection failures. *)
+    its manifests on restart. Raises after 40 consecutive connection
+    failures. *)
 
 (** {1 Load generation} *)
 

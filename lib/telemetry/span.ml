@@ -2,10 +2,10 @@
    total, self time (total minus nested spans) and the worst single
    interval. The nesting stack is domain-local (Domain.DLS) so worker
    domains of the sweep pool time their own jobs without interleaving
-   frames; the aggregate cells of a span are written by whichever
-   domain exits it (single-writer per span by construction — the
-   engine pre-creates one span per job on the main domain and hands it
-   to exactly one worker).
+   frames. The aggregate cells of a span are written by whichever
+   domain exits it, and several workers exit the same span (every job
+   exits [runner.exec]), so each span's update holds its own mutex; a
+   span closes once per job or per stage, so the lock is cheap.
 
    Robustness over precision: an [exit_] that does not match the top
    frame (telemetry enabled mid-span, or a caller bug) is dropped
@@ -17,6 +17,7 @@ type t = {
   mutable total : float; (* seconds, nested spans included *)
   mutable child : float; (* seconds attributed to nested spans *)
   mutable max : float; (* worst single interval *)
+  lock : Mutex.t; (* guards the four cells above *)
 }
 
 type frame = { span : t; start : float; mutable child_acc : float }
@@ -24,7 +25,8 @@ type frame = { span : t; start : float; mutable child_acc : float }
 let stack_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let v name = { name; count = 0; total = 0.0; child = 0.0; max = 0.0 }
+let v name =
+  { name; count = 0; total = 0.0; child = 0.0; max = 0.0; lock = Mutex.create () }
 let name t = t.name
 let count t = t.count
 let total t = t.total
@@ -44,10 +46,11 @@ let exit_ span =
     | frame :: rest when frame.span == span ->
         st := rest;
         let elapsed = Unix.gettimeofday () -. frame.start in
-        span.count <- span.count + 1;
-        span.total <- span.total +. elapsed;
-        span.child <- span.child +. frame.child_acc;
-        if elapsed > span.max then span.max <- elapsed;
+        Mutex.protect span.lock (fun () ->
+            span.count <- span.count + 1;
+            span.total <- span.total +. elapsed;
+            span.child <- span.child +. frame.child_acc;
+            if elapsed > span.max then span.max <- elapsed);
         (match rest with
         | parent :: _ -> parent.child_acc <- parent.child_acc +. elapsed
         | [] -> ())
@@ -67,9 +70,10 @@ let time span f =
 let depth () = List.length !(Domain.DLS.get stack_key)
 
 let reset t =
-  t.count <- 0;
-  t.total <- 0.0;
-  t.child <- 0.0;
-  t.max <- 0.0
+  Mutex.protect t.lock (fun () ->
+      t.count <- 0;
+      t.total <- 0.0;
+      t.child <- 0.0;
+      t.max <- 0.0)
 
 let reset_stack () = Domain.DLS.get stack_key := []

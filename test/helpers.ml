@@ -75,6 +75,17 @@ let recorded_run ?c ?failures_dir ~program key =
   let o = Runner.run ?c ?failures_dir ~program ~manager () in
   (o, trace)
 
+(* What [iter] passes its callback, in order: [collect (Heap.iter_live
+   h)] lists the live objects, [collect (iter2 (Free_index.iter_gaps
+   fi))] the [(start, len)] gaps. *)
+let collect iter =
+  let acc = ref [] in
+  iter (fun x -> acc := x :: !acc);
+  List.rev !acc
+
+(* A two-argument iterator as one over pairs, for [collect]. *)
+let iter2 iter f = iter (fun a b -> f (a, b))
+
 (* Kernel-vs-reference comparisons over a [Heap] and a [Heap_ref] in
    the same state; [fail] reports the first difference and must not
    return. *)
@@ -114,12 +125,14 @@ module Diff = struct
 
   (* The full live-object and gap lists. *)
   let lists ~fail h r =
-    same ~fail objs "live_list" (Heap.live_list h) (Heap_ref.live_list r);
-    same ~fail pairs "gaps"
-      (Free_index.gaps (Heap.free_index h))
-      (Free_index_ref.gaps (Heap_ref.free_index r))
+    same ~fail objs "iter_live"
+      (collect (Heap.iter_live h))
+      (collect (Heap_ref.iter_live r));
+    same ~fail pairs "iter_gaps"
+      (collect (iter2 (Free_index.iter_gaps (Heap.free_index h))))
+      (collect (iter2 (Free_index_ref.iter_gaps (Heap_ref.free_index r))))
 
-  (* The five unaligned fit queries at one [size], [first_fit_from]
+  (* The four unaligned fit queries at one [size], [first_fit_from]
      from each of [froms]. *)
   let unaligned_fits ~fail h r ~size ~froms =
     let same pp name a b = same ~fail pp name a b in
@@ -127,9 +140,6 @@ module Diff = struct
     same fit "first_fit"
       (Free_index.first_fit fi ~size)
       (Free_index_ref.first_fit fr ~size);
-    same opt "first_fit_gap"
-      (Free_index.first_fit_gap fi ~size)
-      (Free_index_ref.first_fit_gap fr ~size);
     List.iter
       (fun from ->
         same opt "first_fit_from"
@@ -143,7 +153,7 @@ module Diff = struct
       (Free_index.worst_fit_gap fi ~size)
       (Free_index_ref.worst_fit_gap fr ~size)
 
-  (* The three aligned fit queries at one [size] and [align],
+  (* The two aligned fit queries at one [size] and [align],
      [first_aligned_fit_from] from each of [froms]. *)
   let aligned_fits ~fail h r ~size ~align ~froms =
     let same pp name a b = same ~fail pp name a b in
@@ -151,9 +161,6 @@ module Diff = struct
     same fit "first_aligned_fit"
       (Free_index.first_aligned_fit fi ~size ~align)
       (Free_index_ref.first_aligned_fit fr ~size ~align);
-    same opt "first_aligned_fit_gap"
-      (Free_index.first_aligned_fit_gap fi ~size ~align)
-      (Free_index_ref.first_aligned_fit_gap fr ~size ~align);
     List.iter
       (fun from ->
         same opt "first_aligned_fit_from"
@@ -161,7 +168,7 @@ module Diff = struct
           (Free_index_ref.first_aligned_fit_from fr ~from ~size ~align))
       froms
 
-  (* All eight fit queries at one [size], [align] and [from]. *)
+  (* All six fit queries at one [size], [align] and [from]. *)
   let fits ~fail h r ~size ~align ~from =
     unaligned_fits ~fail h r ~size ~froms:[ from ];
     aligned_fits ~fail h r ~size ~align ~froms:[ from ]
@@ -178,12 +185,9 @@ module Diff = struct
   (* The range queries over the window [\[start, stop)]. *)
   let window ~fail h r ~start ~stop =
     let same pp name a b = same ~fail pp name a b in
-    let collect fold heap =
-      List.rev (fold heap ~start ~stop ~init:[] ~f:(fun acc o -> o :: acc))
-    in
-    let expected = Heap_ref.objects_in r ~start ~stop in
-    same objs "objects_in" (Heap.objects_in h ~start ~stop) expected;
-    same objs "fold_objects_in" (collect Heap.fold_objects_in h) expected;
+    same objs "objects_in"
+      (Heap.objects_in h ~start ~stop)
+      (Heap_ref.objects_in r ~start ~stop);
     same int "occupied_words_in"
       (Heap.occupied_words_in h ~start ~stop)
       (Heap_ref.occupied_words_in r ~start ~stop);

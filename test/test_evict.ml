@@ -103,7 +103,7 @@ let test_try_evict_straddler () =
   in
   Alcotest.(check (option int)) "cleared a window" (Some 32) r;
   Alcotest.(check bool) "straddler moved entirely" true
-    (let a = Heap.addr heap straddler in
+    (let a = (Heap.get heap straddler).addr in
      a + 8 <= 32 || a >= 64);
   Alcotest.(check int) "charged full size" 8 (Heap.moved_total heap)
 
@@ -174,7 +174,7 @@ let test_compact_fit_plug_charges_window_cost () =
   Alcotest.(check int) "budget charged exactly window_cost" expected
     (Heap.moved_total heap);
   Alcotest.(check int) "migrant plugged the low hole" 8
-    (Heap.addr heap (fst oids.(7)));
+    (Heap.get heap (fst oids.(7))).addr;
   Alcotest.(check int) "allocation went to the surviving partial page" 16 a;
   Oracle.finish oracle;
   Heap.check_invariants heap
@@ -236,13 +236,16 @@ let fresh_candidates r ~size ~align =
                start ))
   |> List.sort compare
 
+let gaps fi = Helpers.(collect (iter2 (Free_index.iter_gaps fi)))
+let live h = Helpers.collect (Heap.iter_live h)
+
 let apply_op h r = function
   | At_frontier size ->
       let addr = Free_index.frontier (Heap.free_index h) in
       ignore (Heap.alloc h ~addr ~size);
       ignore (Heap_ref.alloc r ~addr ~size)
   | In_gap (g, size) -> (
-      match Free_index.gaps (Heap.free_index h) with
+      match gaps (Heap.free_index h) with
       | [] -> ()
       | gaps ->
           let gs, gl = List.nth gaps (g mod List.length gaps) in
@@ -255,20 +258,20 @@ let apply_op h r = function
       ignore (Heap.alloc h ~addr ~size);
       ignore (Heap_ref.alloc r ~addr ~size)
   | Free_any i -> (
-      match Heap.live_list h with
+      match live h with
       | [] -> ()
       | live ->
           let o = List.nth live (i mod List.length live) in
           Heap.free h o.oid;
           Heap_ref.free r o.oid)
   | Free_tail -> (
-      match List.rev (Heap.live_list h) with
+      match List.rev (live h) with
       | [] -> ()
       | o :: _ ->
           Heap.free h o.oid;
           Heap_ref.free r o.oid)
   | Move (i, d) -> (
-      match Heap.live_list h with
+      match live h with
       | [] -> ()
       | live ->
           let o = List.nth live (i mod List.length live) in
@@ -276,7 +279,7 @@ let apply_op h r = function
           (* into a gap that holds it, else onto the tail *)
           let dst =
             match
-              List.filter (fun (_, gl) -> gl >= o.size) (Free_index.gaps fi)
+              List.filter (fun (_, gl) -> gl >= o.size) (gaps fi)
             with
             | [] -> Free_index.frontier fi + (d mod 8)
             | fits -> fst (List.nth fits (d mod List.length fits))

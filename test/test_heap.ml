@@ -13,8 +13,8 @@ module Cases (H : Heap_intf.HEAP) = struct
     check_int "live objects" 2 (H.live_objects h);
     check_int "allocated total" 15 (H.allocated_total h);
     check_int "high water" 25 (H.high_water h);
-    check_int "addr a" 0 (H.addr h a);
-    check_int "size b" 5 (H.size h b);
+    check_int "addr a" 0 (H.get h a).addr;
+    check_int "size b" 5 (H.get h b).size;
     H.free h a;
     check_int "live after free" 5 (H.live_words h);
     check_int "freed total" 10 (H.freed_total h);
@@ -44,7 +44,7 @@ module Cases (H : Heap_intf.HEAP) = struct
     let a = H.alloc h ~addr:0 ~size:8 in
     let _b = H.alloc h ~addr:8 ~size:8 in
     H.move h a ~dst:32;
-    check_int "moved addr" 32 (H.addr h a);
+    check_int "moved addr" 32 (H.get h a).addr;
     check_int "moved total" 8 (H.moved_total h);
     check_int "hwm follows move" 40 (H.high_water h);
     check_int "live unchanged" 16 (H.live_words h);
@@ -53,7 +53,7 @@ module Cases (H : Heap_intf.HEAP) = struct
     Alcotest.check_raises "move onto occupied"
       (Invalid_argument "Free_index.occupy: extent not free") (fun () ->
         H.move h a ~dst:8);
-    check_int "rollback kept address" 32 (H.addr h a);
+    check_int "rollback kept address" 32 (H.get h a).addr;
     H.check_invariants h
 
   let test_sliding_move () =
@@ -61,7 +61,7 @@ module Cases (H : Heap_intf.HEAP) = struct
     let a = H.alloc h ~addr:10 ~size:8 in
     (* overlapping slide down: [10,18) -> [6,14) *)
     H.move h a ~dst:6;
-    check_int "slid" 6 (H.addr h a);
+    check_int "slid" 6 (H.get h a).addr;
     check_int "moved total" 8 (H.moved_total h);
     H.check_invariants h
 
@@ -134,9 +134,8 @@ module Cases (H : Heap_intf.HEAP) = struct
               match !live with
               | [] -> ()
               | oid :: _ ->
-                  let size = H.size h oid in
+                  let { H.size; addr = cur; _ } = H.get h oid in
                   let dst = Random.State.int st 256 in
-                  let cur = H.addr h oid in
                   if
                     dst <> cur
                     && (dst + size <= cur || dst >= cur + size)
@@ -155,11 +154,7 @@ module Cases (H : Heap_intf.HEAP) = struct
         H.high_water replayed = H.high_water h
         && H.live_words replayed = H.live_words h
         && H.moved_total replayed = H.moved_total h
-        && List.for_all
-             (fun oid ->
-               H.addr replayed oid = H.addr h oid
-               && H.size replayed oid = H.size h oid)
-             !live)
+        && List.for_all (fun oid -> H.get replayed oid = H.get h oid) !live)
 
   (* occupied_words_in agrees with a per-word brute force count. *)
   let prop_occupied_words name =
@@ -214,8 +209,7 @@ module Cases (H : Heap_intf.HEAP) = struct
               match !live with
               | [] -> ()
               | oid :: _ ->
-                  let size = H.size h oid in
-                  let cur = H.addr h oid in
+                  let { H.size; addr = cur; _ } = H.get h oid in
                   let dst = Random.State.int st 300 in
                   if
                     dst <> cur
@@ -229,7 +223,7 @@ module Cases (H : Heap_intf.HEAP) = struct
         let naive_objs =
           List.filter
             (fun (o : H.obj) -> o.addr < stop && o.addr + o.size > start)
-            (H.live_list h)
+            (Helpers.collect (H.iter_live h))
         in
         let naive_words =
           List.fold_left
@@ -238,9 +232,7 @@ module Cases (H : Heap_intf.HEAP) = struct
             0 naive_objs
         in
         H.objects_in h ~start ~stop = naive_objs
-        && H.occupied_words_in h ~start ~stop = naive_words
-        && H.fold_objects_in h ~start ~stop ~init:0 ~f:(fun n _ -> n + 1)
-           = List.length naive_objs)
+        && H.occupied_words_in h ~start ~stop = naive_words)
 end
 
 let suite name (module H : Heap_intf.HEAP) =

@@ -135,7 +135,8 @@ let test_compacting_reuses_window () =
   (* request 64: no contiguous 64-word gap, tail would raise HWM *)
   let a = Manager.alloc mgr ctx ~size:64 in
   Alcotest.(check int) "window reused" 64 a;
-  Alcotest.(check bool) "obstacle was moved" true (Heap.addr heap obstacle <> 70);
+  Alcotest.(check bool) "obstacle was moved" true
+    ((Heap.get heap obstacle).addr <> 70);
   Alcotest.(check int) "budget charged" 1 (Heap.moved_total heap);
   Alcotest.(check bool) "window now free" true
     (Heap.is_free heap ~addr:64 ~size:64)
@@ -311,7 +312,7 @@ let test_compact_fit_plugs_full_page_hole () =
   let _, a = alloc 4 in
   Alcotest.(check int) "repair moved one object" 4 (Heap.moved_total heap);
   Alcotest.(check int) "migrant plugged the low hole" 8
-    (Heap.addr heap (fst oids.(7)));
+    (Heap.get heap (fst oids.(7))).addr;
   Alcotest.(check int) "allocation goes to the surviving partial page" 16 a;
   Heap.check_invariants heap
 
@@ -385,9 +386,9 @@ let test_polylog_epoch_repack () =
   let _, a = alloc 8 in
   Alcotest.(check int) "repack stopped at the quota" 32 (Heap.moved_total heap);
   Alcotest.(check int) "first survivor slid down" 0
-    (Heap.addr heap (fst o2));
+    (Heap.get heap (fst o2)).addr;
   Alcotest.(check int) "last survivor out of budget, unmoved" 48
-    (Heap.addr heap (fst o6));
+    (Heap.get heap (fst o6)).addr;
   Alcotest.(check int) "placement into the repacked gap" 32 a;
   Heap.check_invariants heap
 

@@ -85,7 +85,7 @@ let test_on_free_moves_unreported () =
     Manager.make ~name:"free-mover"
       ~on_free:(fun ctx _ ->
         let heap = Ctx.heap ctx in
-        match Heap.live_list heap with
+        match Helpers.collect (Heap.iter_live heap) with
         | o :: _ -> Heap.move heap o.oid ~dst:(Heap.high_water heap + 8)
         | [] -> ())
       (fun ctx ~size:_ -> Free_index.frontier (Ctx.free_index ctx))
@@ -155,6 +155,25 @@ let test_free_order_unobservable () =
         ])
     (Registry.keys ())
 
+(* [Spec.record] (what `pc trace` and `pc diagram` show) records the
+   run whose outcome it reports: the outcome is [Spec.run]'s, and the
+   trace replays to its totals — for P_R, which runs unbudgeted, as
+   for P_F at its c. *)
+let test_recorded_run_is_the_run () =
+  let module Spec = Pc_exec.Spec in
+  List.iter
+    (fun (spec : Spec.t) ->
+      let what = Spec.key spec in
+      let o, trace = Spec.record spec in
+      Alcotest.check Helpers.outcome what (Spec.run spec) o;
+      match Trace.replay trace with
+      | Ok h -> Helpers.check_replayed ~what o h
+      | Error msg -> Alcotest.failf "%s: trace does not replay: %s" what msg)
+    [
+      Spec.robson ~manager:"compacting" ~m:1024 ~n:32 ();
+      Spec.pf ~c:8. ~manager:"compacting" ~m:4096 ~n:64 ();
+    ]
+
 let test_runner_accounting () =
   let program =
     simple_program ~live_bound:100 ~max_size:10 (fun driver ->
@@ -182,7 +201,7 @@ let test_view_ghost_discipline () =
        live object 100 words up — guaranteeing a move per alloc. *)
     Manager.make ~name:"evictor" (fun ctx ~size:_ ->
         let heap = Ctx.heap ctx in
-        (match Heap.live_list heap with
+        (match Helpers.collect (Heap.iter_live heap) with
         | o :: _ -> Heap.move heap o.oid ~dst:(Heap.high_water heap + 100)
         | [] -> ());
         Free_index.frontier (Ctx.free_index ctx))
@@ -244,6 +263,8 @@ let () =
           Alcotest.test_case "program validation" `Quick test_program_validation;
           Alcotest.test_case "free order unobservable" `Quick
             test_free_order_unobservable;
+          Alcotest.test_case "recorded run is the run" `Quick
+            test_recorded_run_is_the_run;
         ] );
       ( "view",
         [ Alcotest.test_case "ghost discipline" `Quick test_view_ghost_discipline ] );

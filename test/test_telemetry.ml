@@ -141,6 +141,18 @@ let test_span_mismatched_exit () =
       Alcotest.(check int) "nothing recorded" 0 (T.Span.count s);
       Alcotest.(check int) "stack untouched" 0 (T.Span.depth ()))
 
+(* Two domains closing one span at once (as sweep workers close
+   [runner.exec]): no exit is lost. *)
+let test_span_exact_across_domains () =
+  with_level T.Sink.Summary (fun () ->
+      let s = T.Registry.span "test.shared" in
+      let n = 20_000 in
+      let work () = for _ = 1 to n do T.Span.time s ignore done in
+      let other = Domain.spawn work in
+      work ();
+      Domain.join other;
+      Alcotest.(check int) "count" (2 * n) (T.Span.count s))
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                           *)
 
@@ -266,9 +278,10 @@ let test_overhead_smoke () =
     true
     (summary <= (off *. 5.0) +. 0.05)
 
-(* Counters and histograms are bumped from every worker domain: a
-   parallel sweep must count exactly what a serial one does, and each
-   per-event histogram must see every event its counter counts. *)
+(* Counters, histograms and span aggregates are bumped from every
+   worker domain: a parallel sweep must count exactly what a serial one
+   does, each per-event histogram must see every event its counter
+   counts, and [runner.exec] must close once per job. *)
 let test_counters_exact_in_parallel () =
   let specs =
     List.map
@@ -283,6 +296,8 @@ let test_counters_exact_in_parallel () =
   let serial = allocs_at 1 in
   Alcotest.(check bool) "the sweep allocates" true (serial > 0);
   Alcotest.(check int) "heap.allocs at -j 2 = at -j 1" serial (allocs_at 2);
+  Alcotest.(check int) "runner.exec count = jobs at -j 2" (List.length specs)
+    (T.Span.count (T.Registry.span "runner.exec"));
   with_level T.Sink.Full (fun () ->
       ignore (Pc_exec.Engine.run ~jobs:2 specs);
       let counter name = T.Counter.value (T.Registry.counter name) in
@@ -308,6 +323,8 @@ let () =
           Alcotest.test_case "nesting + self time" `Quick test_span_nesting;
           Alcotest.test_case "exception safe" `Quick test_span_exception_safe;
           Alcotest.test_case "mismatched exit" `Quick test_span_mismatched_exit;
+          Alcotest.test_case "exact across domains" `Quick
+            test_span_exact_across_domains;
         ] );
       ( "registry",
         [

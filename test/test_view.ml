@@ -25,7 +25,7 @@ let mover rng ~move_every =
       let heap = Ctx.heap ctx in
       (if Random.State.int rng move_every = 0 && Heap.live_objects heap > 0
        then
-         let live = Heap.live_list heap in
+         let live = Helpers.collect (Heap.iter_live heap) in
          let o = List.nth live (Random.State.int rng (List.length live)) in
          Heap.move heap o.oid ~dst:(Heap.high_water heap));
       Free_index.frontier (Ctx.free_index ctx))
@@ -169,8 +169,8 @@ let snapshot view heap =
   let free = Heap.free_index heap in
   ( List.rev !objs,
     View.present_words view,
-    Heap.live_list heap,
-    Free_index.gaps free,
+    Helpers.collect (Heap.iter_live heap),
+    Helpers.(collect (iter2 (Free_index.iter_gaps free))),
     Free_index.frontier free )
 
 (* The random alloc/free/ghost script above, without its shadow, with
